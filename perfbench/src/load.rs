@@ -14,9 +14,6 @@ use dhf_stream::StreamBlock;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// Longest the generator sleeps while a push awaits retry or a result
-/// awaits collection.
-const TICK: Duration = Duration::from_micros(100);
 /// Generator lateness bound: the p90 of (first push attempt − due time)
 /// must stay within this share of a session's packet period.
 const LATE_P90_SHARE_OF_PERIOD: f64 = 0.25;
@@ -56,9 +53,9 @@ pub struct SpanRecord {
 /// Everything one load run measured.
 #[derive(Debug, Clone, Default)]
 pub struct LoadReport {
-    /// Per set-up repetition: its duration, and its sessions' median
-    /// first-chunk push → first output.
+    /// Per set-up repetition: its duration.
     pub setup_s: Vec<f64>,
+    /// Per session of every set-up: first-chunk push → first output.
     pub first_output_s: Vec<f64>,
     pub chunk_latency_s: Vec<f64>,
     pub window_gap_s: Vec<f64>,
@@ -112,7 +109,8 @@ struct Session {
     held: Option<StreamBlock>,
     scores: Vec<SiSdrAccumulator>,
     spo2_abs_err: Vec<f64>,
-    first_push_done: Option<f64>,
+    /// When the push that completes the first chunk was first issued.
+    first_chunk_push_at: Option<f64>,
     first_output: Option<f64>,
     /// When the generator last polled this session.
     last_poll: f64,
@@ -131,7 +129,7 @@ impl Session {
             held: None,
             scores: vec![SiSdrAccumulator::default(); n_sources],
             spo2_abs_err: Vec::new(),
-            first_push_done: None,
+            first_chunk_push_at: None,
             first_output: None,
             last_poll: f64::NEG_INFINITY,
         }
@@ -226,42 +224,46 @@ impl Schedule {
     }
 }
 
-/// Runs the workload's set-up repetitions and one open-loop window.
+/// Runs the workload's set-up repetitions and one open-loop window. The
+/// first set-up's sessions carry the window; the others run after it, so
+/// the set-up figures sample the host at both ends of the run rather than
+/// only in its first seconds.
 pub fn run(opts: &LoadOptions) -> LoadReport {
-    let w = opts.workload;
     let mut report = LoadReport::default();
-    let mut last = None;
-    for rep in 0..opts.plan.setup_reps {
-        let started = Instant::now();
-        let inputs = Inputs::generate(w, &opts.plan, opts.seed, opts.seconds);
-        let manager =
-            SessionManager::new(ServeConfig::new(opts.plan.workers).expect("valid serve config"));
-        let mut sessions: Vec<Session> = (0..opts.plan.sessions)
-            .map(|_| {
-                let id = if w.is_oximetry() {
-                    manager.open_oximetry(FS, 2, w.streaming_config(), Workload::oximetry_config())
-                } else {
-                    manager.open(FS, 2, w.streaming_config())
-                };
-                Session::new(id.expect("open session"), 2)
-            })
-            .collect();
-        let mut ctx = RunCtx::new(opts, &inputs, started);
-        ctx.warm_up(&manager, &mut sessions, &mut report);
-        report.setup_s.push(started.elapsed().as_secs_f64());
-        let waits: Vec<f64> =
-            sessions.iter().filter_map(|s| Some(s.first_output? - s.first_push_done?)).collect();
-        report.first_output_s.extend(stats::median(&waits));
-        if rep + 1 == opts.plan.setup_reps {
-            last = Some((inputs, manager, sessions));
-        }
-        // Earlier repetitions: hard stop (no flush) before the next one.
-    }
-    let (inputs, manager, mut sessions) = last.expect("at least one set-up repetition");
+    let (inputs, manager, mut sessions) = set_up(opts, &mut report);
     let mut ctx = RunCtx::new(opts, &inputs, Instant::now());
     ctx.window(&manager, &mut sessions, &mut report);
     ctx.finish(manager, &mut sessions, &mut report);
+    for _ in 1..opts.plan.setup_reps {
+        // Dropped at once: a hard stop, no flush.
+        set_up(opts, &mut report);
+    }
     report
+}
+
+/// One set-up: synthesis, `open` and every session's first chunk.
+fn set_up(opts: &LoadOptions, report: &mut LoadReport) -> (Inputs, SessionManager, Vec<Session>) {
+    let w = opts.workload;
+    let started = Instant::now();
+    let inputs = Inputs::generate(w, &opts.plan, opts.seed, opts.seconds);
+    let manager =
+        SessionManager::new(ServeConfig::new(opts.plan.workers).expect("valid serve config"));
+    let mut sessions: Vec<Session> = (0..opts.plan.sessions)
+        .map(|_| {
+            let id = if w.is_oximetry() {
+                manager.open_oximetry(FS, 2, w.streaming_config(), Workload::oximetry_config())
+            } else {
+                manager.open(FS, 2, w.streaming_config())
+            };
+            Session::new(id.expect("open session"), 2)
+        })
+        .collect();
+    RunCtx::new(opts, &inputs, started).warm_up(&manager, &mut sessions, report);
+    report.setup_s.push(started.elapsed().as_secs_f64());
+    report
+        .first_output_s
+        .extend(sessions.iter().filter_map(|s| Some(s.first_output? - s.first_chunk_push_at?)));
+    (inputs, manager, sessions)
 }
 
 /// Mutable state shared by the phases of one run.
@@ -369,15 +371,18 @@ impl<'a> RunCtx<'a> {
         let start = self.now();
         let out = manager.poll(sessions[s].id);
         let end = self.now();
-        report.attempted += 1;
         let out = match out {
             Ok(out) => out,
             Err(e) => {
+                report.attempted += 1;
                 self.fail_check(report, s, format!("poll failed: {e}"));
                 return;
             }
         };
         let got = !out.blocks.is_empty() || !out.spo2.is_empty();
+        // A poll that collects nothing is not an operation: how often the
+        // generator looks is the benchmark's choice, not the load's.
+        report.attempted += u64::from(got || out.error.is_some());
         if self.opts.traced {
             report.poll_s.push(end - start);
             if s < SPAN_SESSIONS && got {
@@ -520,37 +525,48 @@ impl<'a> RunCtx<'a> {
         sessions[s].windows += 1;
     }
 
-    /// Set-up warm-up: every session's first chunk, pushed as fast as the
-    /// server accepts it (the whole fleet joining at once), then collected.
+    /// Set-up warm-up: sessions join one at a time. Each pushes its first
+    /// chunk as fast as the server accepts it and waits for its first
+    /// output before the next joins, so each wait is the cold start a
+    /// wearer joining an otherwise idle server sees. The generator sleeps
+    /// between polls: polling without pause slowed the worker on the other
+    /// core by up to 45 % in some runs and not in others.
     fn warm_up(
         &mut self,
         manager: &SessionManager,
         sessions: &mut [Session],
         report: &mut LoadReport,
     ) {
-        for packet in 0..WARMUP_PACKETS {
-            for s in 0..sessions.len() {
+        let poll = self.opts.plan.poll;
+        for s in 0..sessions.len() {
+            for packet in 0..WARMUP_PACKETS {
+                if packet + 1 == WARMUP_PACKETS {
+                    // Timed from the completing push's call: a push may
+                    // return after the worker already separated the chunk.
+                    sessions[s].first_chunk_push_at = Some(self.now());
+                }
                 loop {
                     match self.push(manager, sessions, s, packet, report) {
                         Ok(()) => break,
-                        Err(ServeError::Busy { .. }) => std::thread::sleep(TICK),
+                        Err(ServeError::Busy { .. }) => std::thread::sleep(poll),
                         Err(e) => panic!("warm-up push refused: {e}"),
                     }
                 }
-                if packet + 1 == WARMUP_PACKETS {
-                    sessions[s].first_push_done = Some(self.now());
-                }
             }
-        }
-        let deadline = Instant::now() + OUTPUT_TIMEOUT;
-        while sessions.iter().any(|s| s.awaiting(self.oximetry)) {
-            std::thread::sleep(TICK);
-            for s in 0..sessions.len() {
-                if sessions[s].awaiting(self.oximetry) {
-                    self.poll_untimed(manager, sessions, s, report);
+            // Each session's polls fall at its own phase of the poll
+            // interval. With one phase for all, most waits would read the
+            // same whole number of intervals, and the median would jump by
+            // an interval when the chunk's time crossed a boundary.
+            std::thread::sleep(poll.mul_f64((s % 8) as f64 / 8.0));
+            let deadline = Instant::now() + OUTPUT_TIMEOUT;
+            loop {
+                self.poll_untimed(manager, sessions, s, report);
+                if !sessions[s].awaiting(self.oximetry) {
+                    break;
                 }
+                assert!(Instant::now() < deadline, "first outputs never arrived");
+                std::thread::sleep(poll);
             }
-            assert!(Instant::now() < deadline, "first outputs never arrived");
         }
     }
 
@@ -561,13 +577,17 @@ impl<'a> RunCtx<'a> {
         s: usize,
         report: &mut LoadReport,
     ) {
-        report.attempted += 1;
         match manager.poll(sessions[s].id) {
             Ok(out) => {
                 let at = self.now();
+                let got = !out.blocks.is_empty() || !out.spo2.is_empty();
+                report.attempted += u64::from(got || out.error.is_some());
                 self.absorb(sessions, s, out, at, false, report);
             }
-            Err(e) => self.fail_check(report, s, format!("poll failed: {e}")),
+            Err(e) => {
+                report.attempted += 1;
+                self.fail_check(report, s, format!("poll failed: {e}"));
+            }
         }
     }
 
@@ -580,6 +600,7 @@ impl<'a> RunCtx<'a> {
         report: &mut LoadReport,
     ) {
         let oximetry = self.oximetry;
+        let poll = self.opts.plan.poll.as_secs_f64();
         let n = sessions.len();
         let chunks_before: usize = sessions.iter().map(|s| s.chunks_expected).sum();
         dhf_obs::set_enabled(self.opts.traced);
@@ -625,9 +646,9 @@ impl<'a> RunCtx<'a> {
             let mut outstanding = 0usize;
             for s in 0..n {
                 if sessions[s].awaiting(oximetry) {
-                    // At most one poll per session per tick.
+                    // At most one poll per session per poll interval.
                     let now = self.now();
-                    if now - sessions[s].last_poll >= TICK.as_secs_f64() {
+                    if now - sessions[s].last_poll >= poll {
                         sessions[s].last_poll = now;
                         self.poll(manager, sessions, s, report);
                     }
@@ -650,7 +671,7 @@ impl<'a> RunCtx<'a> {
             assert!(self.t0.elapsed() < deadline, "outputs never arrived");
             let next_due = events.get(cursor).map_or(f64::INFINITY, |e| e.0);
             let wait = if any_pending || outstanding > 0 {
-                (next_due - self.now()).min(TICK.as_secs_f64())
+                (next_due - self.now()).min(poll)
             } else {
                 next_due - self.now()
             };

@@ -9,6 +9,7 @@ use dhf_oximetry::{Calibration, OximetryConfig};
 use dhf_stream::StreamingConfig;
 use dhf_synth::dualwave::{generate, DualWaveConfig, Spo2Scenario};
 use dhf_synth::invivo::{CALIBRATION_K, CALIBRATION_W0, CALIBRATION_W1};
+use std::time::Duration;
 
 /// Sample rate of every stream (Hz).
 pub const FS: f64 = 100.0;
@@ -54,6 +55,10 @@ pub struct Plan {
     pub workers: usize,
     /// Set-up repetitions per run (`setup_s` is their median).
     pub setup_reps: usize,
+    /// Longest the generator waits between polls of a session that owes
+    /// an output: a small share of the workload's chunk latency, so the
+    /// generator's wake-ups take little CPU from the workers.
+    pub poll: Duration,
 }
 
 impl Workload {
@@ -72,17 +77,29 @@ impl Workload {
 
     /// The fixed load of the workload. The speed-ups put the code at this
     /// benchmark's introduction at roughly half of its measured capacity
-    /// on the plan's workers (oximetry ≈54 %, fleet ≈45 %); they never
+    /// on the plan's one worker (oximetry ≈54 %, fleet ≈45 %); they never
     /// adapt to the code under test, so a faster program shows as lower
-    /// latency and more sessions per core.
+    /// latency and more sessions per core. One worker leaves the
+    /// generator a core of its own on a two-core host.
     pub fn plan(self) -> Plan {
         match self {
-            Workload::OximetryFastCold => {
-                Plan { sessions: 6, speedup: 3.5, pool: 0, workers: 2, setup_reps: 3 }
-            }
-            Workload::ServeInterpFleet => {
-                Plan { sessions: 128, speedup: 64.0, pool: 8, workers: 1, setup_reps: 3 }
-            }
+            Workload::OximetryFastCold => Plan {
+                sessions: 6,
+                speedup: 1.75,
+                pool: 0,
+                workers: 1,
+                setup_reps: 3,
+                poll: Duration::from_millis(1),
+            },
+            Workload::ServeInterpFleet => Plan {
+                sessions: 128,
+                speedup: 64.0,
+                pool: 8,
+                workers: 1,
+                // Its set-ups take a fraction of a second each.
+                setup_reps: 5,
+                poll: Duration::from_micros(100),
+            },
         }
     }
 

@@ -10,7 +10,9 @@ fn shortened(w: Workload) -> (Plan, f64) {
     let plan = w.plan();
     match w {
         // 2 sessions × 10 s at 5× real time: the warm-up chunk plus two.
-        Workload::OximetryFastCold => (Plan { sessions: 2, setup_reps: 1, ..plan }, 10.0),
+        Workload::OximetryFastCold => {
+            (Plan { sessions: 2, speedup: 5.0, setup_reps: 1, ..plan }, 10.0)
+        }
         // 8 sessions over 2 recordings, 4 s at 50×: eight chunks each.
         Workload::ServeInterpFleet => {
             (Plan { sessions: 8, pool: 2, speedup: 50.0, setup_reps: 1, ..plan }, 4.0)
