@@ -53,12 +53,13 @@ impl PatternAligner {
     /// # Errors
     ///
     /// Returns [`DhfError::NonPositiveFrequency`] if the track contains a
-    /// non-positive value, and [`DhfError::MissingTracks`] if it is empty.
+    /// non-positive or non-finite value, and [`DhfError::MissingTracks`]
+    /// if it is empty.
     pub fn new(f0_track: &[f64], fs: f64, fs_prime: f64) -> Result<Self, DhfError> {
         if f0_track.is_empty() {
             return Err(DhfError::MissingTracks);
         }
-        if f0_track.iter().any(|&f| f <= 0.0) {
+        if crate::first_invalid_f0(f0_track).is_some() {
             return Err(DhfError::NonPositiveFrequency);
         }
         let phase = cumulative_phase(f0_track, fs);
@@ -268,10 +269,18 @@ mod tests {
     #[test]
     fn constructor_validates_track() {
         assert!(matches!(PatternAligner::new(&[], 100.0, 16.0), Err(DhfError::MissingTracks)));
-        assert!(matches!(
-            PatternAligner::new(&[1.0, 0.0], 100.0, 16.0),
-            Err(DhfError::NonPositiveFrequency)
-        ));
+        // Non-finite values must not reach the phase integral: +inf
+        // saturates `unwarped_len()` to `usize::MAX` (so `unwarp` panics
+        // on allocation) and NaN collapses it to 0.
+        for bad in [0.0, -1.0, f64::INFINITY, f64::NAN, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    PatternAligner::new(&[1.0, bad, 1.5], 100.0, 16.0),
+                    Err(DhfError::NonPositiveFrequency)
+                ),
+                "{bad} accepted"
+            );
+        }
     }
 
     #[test]

@@ -65,6 +65,17 @@ pub use pipeline::{
     SeparationResult,
 };
 
+/// Index of the first value in an f0 track that is not a usable
+/// frequency — non-finite (NaN, ±inf) or not strictly positive — or
+/// `None` when every value is valid.
+///
+/// This is the one f0-value rule every entry point applies (the offline
+/// pipeline, the aligner, the streaming separator, the serving runtime);
+/// each caller wraps the index in its own error type and offset.
+pub fn first_invalid_f0(track: &[f64]) -> Option<usize> {
+    track.iter().position(|&f| !f.is_finite() || f <= 0.0)
+}
+
 /// Errors from the DHF pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DhfError {
@@ -85,7 +96,7 @@ pub enum DhfError {
         /// Samples in the offending track.
         track: usize,
     },
-    /// A track contains non-positive frequencies.
+    /// A track contains non-positive or non-finite frequencies.
     NonPositiveFrequency,
     /// Up-front track validation found a non-positive (or non-finite)
     /// frequency, with its exact location. Unlike

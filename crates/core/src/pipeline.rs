@@ -200,7 +200,7 @@ fn validate_one_track(mixed_len: usize, ti: usize, t: &[f64]) -> Result<(), DhfE
     if t.len() != mixed_len {
         return Err(DhfError::TrackLengthMismatch { signal: mixed_len, track: t.len() });
     }
-    if let Some(sample) = t.iter().position(|&f| !f.is_finite() || f <= 0.0) {
+    if let Some(sample) = crate::first_invalid_f0(t) {
         return Err(DhfError::NonPositiveTrackValue { track: ti, sample });
     }
     Ok(())

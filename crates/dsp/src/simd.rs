@@ -4,59 +4,64 @@
 //! butterflies, the packed-real split-twiddle combine, window multiplies,
 //! overlap-add accumulation, per-bin gain application, magnitude
 //! extraction, and the energy reductions — funnels through the kernels in
-//! this module. Each kernel exists in up to three forms:
+//! this module. There are two dispatch levels:
 //!
-//! * a **scalar reference** implementation in [`scalar`], which is the
-//!   single source of truth for semantics;
-//! * an **x86_64** form using SSE2 (`f64x2`, baseline on every x86_64
-//!   target) and AVX2 (`f64x4`, runtime-detected) intrinsics;
-//! * an **aarch64 NEON** form (`f64x2`).
+//! * the **scalar reference** in [`scalar`], the single source of truth
+//!   for semantics, which runs everywhere (LLVM autovectorizes it at the
+//!   target's baseline, e.g. SSE2 on x86_64);
+//! * hand-written **AVX2** (`f64x4`, runtime-detected on x86_64) arms for
+//!   the seven kernels whose arms pay end to end: [`sum_sq`], [`sum_sq2`],
+//!   [`radix2_stage`], [`cmul_in_place`], [`cmul_into`],
+//!   [`real_split_combine_soa`] and [`real_split_combine_aos`].
+//!
+//! The elementwise kernels ([`mul_into`], [`mul_in_place`],
+//! [`mul_add_in_place`], [`add_in_place`], [`sub_in_place`],
+//! [`scale_in_place`], [`magnitude_into`]) always run the scalar
+//! reference: a same-host A/B showed their AVX2 arms carried none of the
+//! end-to-end gain. They keep their shape `assert`s and stay here so
+//! callers have one kernel vocabulary.
 //!
 //! # Determinism contract
 //!
-//! Every vector kernel is **bit-identical** to its scalar reference on all
-//! inputs. Elementwise kernels achieve this for free (IEEE-754 operations
-//! are exactly rounded, so the same multiply/add per element produces the
-//! same bits regardless of lane width). Reduction kernels ([`sum_sq`],
-//! [`sum_sq2`]) use a fixed *virtual lane width of four*: four independent
-//! accumulators striped over the input, combined as
-//! `(acc0 + acc1) + (acc2 + acc3)` plus a sequential tail — the scalar
-//! reference performs the identical striping, so every dispatch level
-//! produces the same bits and results never depend on which CPU ran the
-//! reduction. Complex multiplies keep the scalar operand order for the
-//! real part and rely only on the commutativity of IEEE addition for the
-//! imaginary part, which is bit-exact.
+//! Every AVX2 arm is **bit-identical** to its scalar reference on all
+//! inputs. Reduction kernels ([`sum_sq`], [`sum_sq2`]) use a fixed
+//! *virtual lane width of four*: four independent accumulators striped
+//! over the input, combined as `(acc0 + acc1) + (acc2 + acc3)` plus a
+//! sequential tail — the scalar reference performs the identical
+//! striping, so both levels produce the same bits. Complex multiplies
+//! keep the scalar operand order for the real part and rely only on the
+//! commutativity of IEEE addition for the imaginary part, which is
+//! bit-exact.
 //!
 //! This contract is what lets the serving runtime guarantee bit-identical
 //! serve-vs-serial results while still picking the fastest kernels per
-//! machine, and it is locked by proptests (`simd_kernels_match_scalar_*`)
-//! across all remainder lanes (`len % 4 ∈ {0, 1, 2, 3}`).
+//! machine, and it is locked by proptests (`simd_equivalence`) across all
+//! remainder lanes (`len % 4 ∈ {0, 1, 2, 3}`).
 //!
 //! # Dispatch
 //!
-//! The active level is resolved per call from, in order:
+//! [`active_level`] is [`Level::Scalar`] when [`force_scalar`]`(true)` is
+//! in effect (benches' scalar-vs-SIMD A/B runs, tests) or the
+//! `DHF_FORCE_SCALAR` environment variable (`1`/`true`, read once per
+//! process — the CI knob) is set, and otherwise [`Level::Avx2`] exactly
+//! when runtime detection finds AVX2.
 //!
-//! 1. an explicit override installed with [`set_dispatch_override`] (or
-//!    the [`force_scalar`] convenience wrapper) — used by benches for
-//!    scalar-vs-SIMD A/B runs and by tests;
-//! 2. the `DHF_FORCE_SCALAR` environment variable (`1`/`true`), read once
-//!    per process — the CI knob;
-//! 3. runtime CPU feature detection (AVX2 → SSE2 on x86_64, NEON on
-//!    aarch64, scalar elsewhere).
+//! # Adding an AVX2 arm
 //!
-//! An override requesting a level the CPU cannot run is clamped to the
-//! detected level, so `set_dispatch_override(Some(Level::Avx2))` is safe
-//! everywhere.
-//!
-//! # Adding a kernel
+//! An arm is `unsafe` code, so it must earn its place end to end, not
+//! just in a micro-benchmark:
 //!
 //! 1. Write the scalar reference in [`scalar`] — that defines the
-//!    semantics, including the exact reduction/striping order.
-//! 2. Add the dispatching wrapper here, with slice-length `assert`s so
-//!    the `unsafe` variants can rely on validated bounds.
-//! 3. Add the SSE2/AVX2 (and optionally NEON) forms, mirroring the
-//!    scalar operation order per lane; document the `# Safety` contract.
-//! 4. Extend the bit-identity proptest with the new kernel.
+//!    semantics, including the exact reduction/striping order — and a
+//!    public wrapper here whose slice-length `assert`s are everything the
+//!    arm's `unsafe` blocks rely on, with a `#[should_panic]` test per
+//!    assert.
+//! 2. Add the arm only with a same-host A/B showing the streaming path
+//!    (forced-scalar over native, repeated trials) gets faster with it;
+//!    mirror the scalar operation order per lane and document the
+//!    `# Safety` contract.
+//! 3. Extend the bit-identity tests (inline and `simd_equivalence`) with
+//!    the kernel.
 
 // The intrinsics below are the one sanctioned exception to the
 // workspace-wide `unsafe_code = "deny"`: every unsafe block is a raw
@@ -66,57 +71,29 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::complex::Complex;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// A SIMD dispatch level, ordered from narrowest to widest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A SIMD dispatch level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Level {
     /// Scalar reference kernels (the semantic source of truth).
     Scalar,
-    /// x86_64 SSE2: 128-bit `f64x2` lanes (baseline on x86_64).
-    Sse2,
     /// x86_64 AVX2: 256-bit `f64x4` lanes (runtime-detected).
     Avx2,
-    /// aarch64 NEON: 128-bit `f64x2` lanes.
-    Neon,
-}
-
-impl Level {
-    fn encode(self) -> u8 {
-        match self {
-            Level::Scalar => 1,
-            Level::Sse2 => 2,
-            Level::Avx2 => 3,
-            Level::Neon => 4,
-        }
-    }
-
-    fn decode(v: u8) -> Option<Level> {
-        match v {
-            1 => Some(Level::Scalar),
-            2 => Some(Level::Sse2),
-            3 => Some(Level::Avx2),
-            4 => Some(Level::Neon),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Level {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Level::Scalar => write!(f, "scalar"),
-            Level::Sse2 => write!(f, "sse2"),
             Level::Avx2 => write!(f, "avx2"),
-            Level::Neon => write!(f, "neon"),
         }
     }
 }
 
-/// Process-wide dispatch override: `0` = auto (env + detection), other
-/// values are an encoded [`Level`].
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Process-wide pin to the scalar reference, set by [`force_scalar`].
+static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// What the hardware (and the `DHF_FORCE_SCALAR` env knob) supports,
 /// resolved once per process.
@@ -130,49 +107,31 @@ fn detected_level() -> Level {
             return Level::Scalar;
         }
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                Level::Avx2
-            } else {
-                Level::Sse2
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Level::Avx2;
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            Level::Neon
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        {
-            Level::Scalar
-        }
+        Level::Scalar
     })
 }
 
 /// The dispatch level kernels will actually use right now.
 pub fn active_level() -> Level {
-    let detected = detected_level();
-    match Level::decode(OVERRIDE.load(Ordering::Relaxed)) {
-        // NEON and the x86 levels never coexist, so `min` on the enum
-        // order clamps an impossible request to what the CPU can run.
-        Some(l) => l.min(detected),
-        None => detected,
+    if FORCE_SCALAR.load(Ordering::Relaxed) {
+        Level::Scalar
+    } else {
+        detected_level()
     }
 }
 
-/// Installs (or with `None` removes) a process-wide dispatch override.
+/// `force_scalar(true)` pins every kernel to the scalar reference;
+/// `force_scalar(false)` restores auto dispatch (which still honours
+/// `DHF_FORCE_SCALAR`).
 ///
-/// Overrides take precedence over `DHF_FORCE_SCALAR`; requests above the
-/// detected capability are clamped. Thanks to the bit-identity contract,
-/// flipping the level concurrently with running kernels changes which
-/// instructions execute but never the results.
-pub fn set_dispatch_override(level: Option<Level>) {
-    OVERRIDE.store(level.map_or(0, Level::encode), Ordering::Relaxed);
-}
-
-/// Convenience wrapper: `force_scalar(true)` pins every kernel to the
-/// scalar reference; `force_scalar(false)` restores auto dispatch.
+/// Thanks to the bit-identity contract, flipping this concurrently with
+/// running kernels changes which instructions execute but never the
+/// results.
 pub fn force_scalar(on: bool) {
-    set_dispatch_override(on.then_some(Level::Scalar));
+    FORCE_SCALAR.store(on, Ordering::Relaxed);
 }
 
 /// Views a complex buffer as its interleaved `[re, im, …]` lane data.
@@ -202,13 +161,7 @@ macro_rules! dispatch {
             // SAFETY: `active_level()` returns `Avx2` only when runtime
             // detection confirmed the feature; slice bounds were checked
             // by the caller's asserts.
-            Level::Avx2 => unsafe { x86::paste_avx2::$name($($arg),*) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline feature set.
-            Level::Sse2 => unsafe { x86::paste_sse2::$name($($arg),*) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: NEON (fp+simd) is part of the aarch64 baseline.
-            Level::Neon => unsafe { neon::$name($($arg),*) },
+            Level::Avx2 => unsafe { avx2::$name($($arg),*) },
             _ => scalar::$name($($arg),*),
         }
     };
@@ -222,7 +175,7 @@ macro_rules! dispatch {
 pub fn mul_into(out: &mut [f64], a: &[f64], b: &[f64]) {
     assert_eq!(out.len(), a.len(), "mul_into length mismatch");
     assert_eq!(out.len(), b.len(), "mul_into length mismatch");
-    dispatch!(mul_into(out, a, b))
+    scalar::mul_into(out, a, b)
 }
 
 /// `a[i] *= b[i]`.
@@ -232,11 +185,10 @@ pub fn mul_into(out: &mut [f64], a: &[f64], b: &[f64]) {
 /// Panics if the slices differ in length.
 pub fn mul_in_place(a: &mut [f64], b: &[f64]) {
     assert_eq!(a.len(), b.len(), "mul_in_place length mismatch");
-    dispatch!(mul_in_place(a, b))
+    scalar::mul_in_place(a, b)
 }
 
-/// `acc[i] += a[i] · b[i]` (separate multiply and add — no FMA — so every
-/// dispatch level rounds identically).
+/// `acc[i] += a[i] · b[i]` (separate multiply and add — no FMA).
 ///
 /// # Panics
 ///
@@ -244,7 +196,7 @@ pub fn mul_in_place(a: &mut [f64], b: &[f64]) {
 pub fn mul_add_in_place(acc: &mut [f64], a: &[f64], b: &[f64]) {
     assert_eq!(acc.len(), a.len(), "mul_add_in_place length mismatch");
     assert_eq!(acc.len(), b.len(), "mul_add_in_place length mismatch");
-    dispatch!(mul_add_in_place(acc, a, b))
+    scalar::mul_add_in_place(acc, a, b)
 }
 
 /// `acc[i] += a[i]`.
@@ -254,7 +206,7 @@ pub fn mul_add_in_place(acc: &mut [f64], a: &[f64], b: &[f64]) {
 /// Panics if the slices differ in length.
 pub fn add_in_place(acc: &mut [f64], a: &[f64]) {
     assert_eq!(acc.len(), a.len(), "add_in_place length mismatch");
-    dispatch!(add_in_place(acc, a))
+    scalar::add_in_place(acc, a)
 }
 
 /// `acc[i] -= a[i]`.
@@ -264,20 +216,19 @@ pub fn add_in_place(acc: &mut [f64], a: &[f64]) {
 /// Panics if the slices differ in length.
 pub fn sub_in_place(acc: &mut [f64], a: &[f64]) {
     assert_eq!(acc.len(), a.len(), "sub_in_place length mismatch");
-    dispatch!(sub_in_place(acc, a))
+    scalar::sub_in_place(acc, a)
 }
 
 /// `a[i] *= s`.
 pub fn scale_in_place(a: &mut [f64], s: f64) {
-    dispatch!(scale_in_place(a, s))
+    scalar::scale_in_place(a, s)
 }
 
 /// `out[i] = √(re[i]² + im[i]²)`.
 ///
-/// Note this is the plain square-root form, not `hypot`: it is what every
-/// lane width computes identically (hardware `sqrt` is exactly rounded),
-/// at the cost of `hypot`'s protection against overflow at magnitudes
-/// around `1e154` — far beyond any spectrogram this pipeline produces.
+/// Note this is the plain square-root form, not `hypot`: it gives up
+/// `hypot`'s protection against overflow at magnitudes around `1e154` —
+/// far beyond any spectrogram this pipeline produces.
 ///
 /// # Panics
 ///
@@ -285,7 +236,7 @@ pub fn scale_in_place(a: &mut [f64], s: f64) {
 pub fn magnitude_into(out: &mut [f64], re: &[f64], im: &[f64]) {
     assert_eq!(out.len(), re.len(), "magnitude_into length mismatch");
     assert_eq!(out.len(), im.len(), "magnitude_into length mismatch");
-    dispatch!(magnitude_into(out, re, im))
+    scalar::magnitude_into(out, re, im)
 }
 
 /// `Σ a[i]²` with the deterministic virtual-4-lane reduction order.
@@ -377,10 +328,10 @@ pub fn real_split_combine_aos(z: &[Complex], tw: &[Complex], out: &mut [Complex]
 
 /// Scalar reference kernels — the single source of truth for semantics.
 ///
-/// Every SIMD variant must be bit-identical to the function of the same
-/// name here; the reduction kernels deliberately stripe over a virtual
-/// lane width of four so that vector implementations can match them
-/// exactly (see the module docs).
+/// Every AVX2 arm must be bit-identical to the function of the same name
+/// here; the reduction kernels deliberately stripe over a virtual lane
+/// width of four so that vector implementations can match them exactly
+/// (see the module docs).
 pub mod scalar {
     use super::Complex;
 
@@ -533,1388 +484,350 @@ pub mod scalar {
     }
 }
 
+/// AVX2 arms: one `f64x4` accumulator for the reductions, two complexes
+/// per vector for the complex kernels, scalar code for remainders.
+///
+/// # Safety
+///
+/// Every `unsafe fn` here requires AVX2, which the dispatcher proves by
+/// runtime detection before calling it, and the slice shapes its public
+/// wrapper in the parent module asserts.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! SSE2 (`f64x2`, one complex per vector) and AVX2 (`f64x4`, two
-    //! complexes per vector) kernel forms.
-    //!
-    //! Complex multiplies follow the classic shuffle/addsub pattern; the
-    //! per-lane operation order matches [`super::scalar`] exactly (see the
-    //! module-level determinism contract).
-
-    /// Generates the SSE2 and AVX2 kernel sets from one template.
-    ///
-    /// `$detect` is the `#[target_feature]` string; vector width is fixed
-    /// per instantiation through the intrinsic aliases.
-    macro_rules! x86_f64x2_kernels {
-        ($modname:ident, $feature:literal) => {
-            pub mod $modname {
-                use super::super::{scalar, Complex};
-                #[allow(clippy::wildcard_imports)]
-                use core::arch::x86_64::*;
-
-                /// `out[i] = a[i] · b[i]`.
-                ///
-                /// # Safety
-                ///
-                /// CPU must support the enabled feature; slices must be
-                /// equal length (asserted by the dispatcher).
-                #[target_feature(enable = $feature)]
-                pub unsafe fn mul_into(out: &mut [f64], a: &[f64], b: &[f64]) {
-                    let n = out.len();
-                    let main = n & !1;
-                    let (po, pa, pb) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-                    let mut i = 0;
-                    while i < main {
-                        // SAFETY: i + 1 < n on every loaded/stored lane.
-                        unsafe {
-                            let va = _mm_loadu_pd(pa.add(i));
-                            let vb = _mm_loadu_pd(pb.add(i));
-                            _mm_storeu_pd(po.add(i), _mm_mul_pd(va, vb));
-                        }
-                        i += 2;
-                    }
-                    if i < n {
-                        out[i] = a[i] * b[i];
-                    }
-                }
-
-                /// `a[i] *= b[i]`.
-                ///
-                /// # Safety
-                ///
-                /// As [`mul_into`].
-                #[target_feature(enable = $feature)]
-                pub unsafe fn mul_in_place(a: &mut [f64], b: &[f64]) {
-                    let n = a.len();
-                    let main = n & !1;
-                    let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-                    let mut i = 0;
-                    while i < main {
-                        // SAFETY: in-bounds lanes.
-                        unsafe {
-                            let va = _mm_loadu_pd(pa.add(i));
-                            let vb = _mm_loadu_pd(pb.add(i));
-                            _mm_storeu_pd(pa.add(i), _mm_mul_pd(va, vb));
-                        }
-                        i += 2;
-                    }
-                    if i < n {
-                        a[i] *= b[i];
-                    }
-                }
-
-                /// `acc[i] += a[i] · b[i]`.
-                ///
-                /// # Safety
-                ///
-                /// As [`mul_into`].
-                #[target_feature(enable = $feature)]
-                pub unsafe fn mul_add_in_place(acc: &mut [f64], a: &[f64], b: &[f64]) {
-                    let n = acc.len();
-                    let main = n & !1;
-                    let (po, pa, pb) = (acc.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-                    let mut i = 0;
-                    while i < main {
-                        // SAFETY: in-bounds lanes. Multiply then add — no
-                        // FMA — to round exactly like the scalar form.
-                        unsafe {
-                            let va = _mm_loadu_pd(pa.add(i));
-                            let vb = _mm_loadu_pd(pb.add(i));
-                            let vo = _mm_loadu_pd(po.add(i));
-                            _mm_storeu_pd(po.add(i), _mm_add_pd(vo, _mm_mul_pd(va, vb)));
-                        }
-                        i += 2;
-                    }
-                    if i < n {
-                        acc[i] += a[i] * b[i];
-                    }
-                }
-
-                /// `acc[i] += a[i]`.
-                ///
-                /// # Safety
-                ///
-                /// As [`mul_into`].
-                #[target_feature(enable = $feature)]
-                pub unsafe fn add_in_place(acc: &mut [f64], a: &[f64]) {
-                    let n = acc.len();
-                    let main = n & !1;
-                    let (po, pa) = (acc.as_mut_ptr(), a.as_ptr());
-                    let mut i = 0;
-                    while i < main {
-                        // SAFETY: in-bounds lanes.
-                        unsafe {
-                            let vo = _mm_loadu_pd(po.add(i));
-                            let va = _mm_loadu_pd(pa.add(i));
-                            _mm_storeu_pd(po.add(i), _mm_add_pd(vo, va));
-                        }
-                        i += 2;
-                    }
-                    if i < n {
-                        acc[i] += a[i];
-                    }
-                }
-
-                /// `acc[i] -= a[i]`.
-                ///
-                /// # Safety
-                ///
-                /// As [`mul_into`].
-                #[target_feature(enable = $feature)]
-                pub unsafe fn sub_in_place(acc: &mut [f64], a: &[f64]) {
-                    let n = acc.len();
-                    let main = n & !1;
-                    let (po, pa) = (acc.as_mut_ptr(), a.as_ptr());
-                    let mut i = 0;
-                    while i < main {
-                        // SAFETY: in-bounds lanes.
-                        unsafe {
-                            let vo = _mm_loadu_pd(po.add(i));
-                            let va = _mm_loadu_pd(pa.add(i));
-                            _mm_storeu_pd(po.add(i), _mm_sub_pd(vo, va));
-                        }
-                        i += 2;
-                    }
-                    if i < n {
-                        acc[i] -= a[i];
-                    }
-                }
-
-                /// `a[i] *= s`.
-                ///
-                /// # Safety
-                ///
-                /// As [`mul_into`].
-                #[target_feature(enable = $feature)]
-                pub unsafe fn scale_in_place(a: &mut [f64], s: f64) {
-                    let n = a.len();
-                    let main = n & !1;
-                    let pa = a.as_mut_ptr();
-                    let vs = _mm_set1_pd(s);
-                    let mut i = 0;
-                    while i < main {
-                        // SAFETY: in-bounds lanes.
-                        unsafe {
-                            let va = _mm_loadu_pd(pa.add(i));
-                            _mm_storeu_pd(pa.add(i), _mm_mul_pd(va, vs));
-                        }
-                        i += 2;
-                    }
-                    if i < n {
-                        a[i] *= s;
-                    }
-                }
-
-                /// `out[i] = √(re[i]² + im[i]²)` (hardware `sqrt` is
-                /// exactly rounded, so this matches the scalar form).
-                ///
-                /// # Safety
-                ///
-                /// As [`mul_into`].
-                #[target_feature(enable = $feature)]
-                pub unsafe fn magnitude_into(out: &mut [f64], re: &[f64], im: &[f64]) {
-                    let n = out.len();
-                    let main = n & !1;
-                    let (po, pr, pi) = (out.as_mut_ptr(), re.as_ptr(), im.as_ptr());
-                    let mut i = 0;
-                    while i < main {
-                        // SAFETY: in-bounds lanes.
-                        unsafe {
-                            let r = _mm_loadu_pd(pr.add(i));
-                            let im_v = _mm_loadu_pd(pi.add(i));
-                            let s = _mm_add_pd(_mm_mul_pd(r, r), _mm_mul_pd(im_v, im_v));
-                            _mm_storeu_pd(po.add(i), _mm_sqrt_pd(s));
-                        }
-                        i += 2;
-                    }
-                    if i < n {
-                        out[i] = (re[i] * re[i] + im[i] * im[i]).sqrt();
-                    }
-                }
-
-                /// Deterministic `Σ a[i]²`: two `f64x2` accumulators hold
-                /// virtual lanes (0,1) and (2,3); combined in the scalar
-                /// reference order.
-                ///
-                /// # Safety
-                ///
-                /// As [`mul_into`].
-                #[target_feature(enable = $feature)]
-                pub unsafe fn sum_sq(a: &[f64]) -> f64 {
-                    let n = a.len();
-                    let main = n & !3;
-                    let pa = a.as_ptr();
-                    let mut acc01 = _mm_setzero_pd();
-                    let mut acc23 = _mm_setzero_pd();
-                    let mut i = 0;
-                    while i < main {
-                        // SAFETY: i + 3 < n inside the stepped-by-4 loop.
-                        unsafe {
-                            let v01 = _mm_loadu_pd(pa.add(i));
-                            let v23 = _mm_loadu_pd(pa.add(i + 2));
-                            acc01 = _mm_add_pd(acc01, _mm_mul_pd(v01, v01));
-                            acc23 = _mm_add_pd(acc23, _mm_mul_pd(v23, v23));
-                        }
-                        i += 4;
-                    }
-                    let mut l = [0.0f64; 4];
-                    // SAFETY: `l` holds four f64 slots.
-                    unsafe {
-                        _mm_storeu_pd(l.as_mut_ptr(), acc01);
-                        _mm_storeu_pd(l.as_mut_ptr().add(2), acc23);
-                    }
-                    let mut tail = 0.0;
-                    for &v in &a[main..] {
-                        tail += v * v;
-                    }
-                    ((l[0] + l[1]) + (l[2] + l[3])) + tail
-                }
-
-                /// Deterministic `Σ (re[i]² + im[i]²)`; striping as
-                /// [`sum_sq`].
-                ///
-                /// # Safety
-                ///
-                /// As [`mul_into`].
-                #[target_feature(enable = $feature)]
-                pub unsafe fn sum_sq2(re: &[f64], im: &[f64]) -> f64 {
-                    let n = re.len();
-                    let main = n & !3;
-                    let (pr, pi) = (re.as_ptr(), im.as_ptr());
-                    let mut acc01 = _mm_setzero_pd();
-                    let mut acc23 = _mm_setzero_pd();
-                    let mut i = 0;
-                    while i < main {
-                        // SAFETY: i + 3 < n inside the stepped-by-4 loop.
-                        unsafe {
-                            let r01 = _mm_loadu_pd(pr.add(i));
-                            let i01 = _mm_loadu_pd(pi.add(i));
-                            let r23 = _mm_loadu_pd(pr.add(i + 2));
-                            let i23 = _mm_loadu_pd(pi.add(i + 2));
-                            let t01 = _mm_add_pd(_mm_mul_pd(r01, r01), _mm_mul_pd(i01, i01));
-                            let t23 = _mm_add_pd(_mm_mul_pd(r23, r23), _mm_mul_pd(i23, i23));
-                            acc01 = _mm_add_pd(acc01, t01);
-                            acc23 = _mm_add_pd(acc23, t23);
-                        }
-                        i += 4;
-                    }
-                    let mut l = [0.0f64; 4];
-                    // SAFETY: `l` holds four f64 slots.
-                    unsafe {
-                        _mm_storeu_pd(l.as_mut_ptr(), acc01);
-                        _mm_storeu_pd(l.as_mut_ptr().add(2), acc23);
-                    }
-                    let mut tail = 0.0;
-                    for (&r, &i) in re[main..].iter().zip(&im[main..]) {
-                        tail += r * r + i * i;
-                    }
-                    ((l[0] + l[1]) + (l[2] + l[3])) + tail
-                }
-
-                /// Complex multiply of one `f64x2` vector `[v.re, v.im]`
-                /// by `[w.re, w.im]`: the real lane gets
-                /// `v.re·w.re − v.im·w.im`, the imaginary lane
-                /// `v.im·w.re + v.re·w.im` — the scalar products and
-                /// rounding order exactly.
-                ///
-                /// # Safety
-                ///
-                /// CPU must support the enabled feature.
-                #[inline]
-                #[target_feature(enable = $feature)]
-                unsafe fn cmul1(v: __m128d, w: __m128d) -> __m128d {
-                    // Pure register arithmetic — intrinsic calls are safe
-                    // inside a fn already gated on the same feature.
-                    let wr = _mm_shuffle_pd(w, w, 0b00); // [w.re, w.re]
-                    let wi = _mm_shuffle_pd(w, w, 0b11); // [w.im, w.im]
-                    let t1 = _mm_mul_pd(v, wr); // [v.re·w.re, v.im·w.re]
-                    let vs = _mm_shuffle_pd(v, v, 0b01); // [v.im, v.re]
-                    let t2 = _mm_mul_pd(vs, wi); // [v.im·w.im, v.re·w.im]
-                                                 // addsub: lane0 = t1 − t2, lane1 = t1 + t2.
-                    let neg0 = _mm_set_pd(0.0, -0.0);
-                    _mm_add_pd(t1, _mm_xor_pd(t2, neg0))
-                }
-
-                /// Sign mask that conjugates a packed complex (negates the
-                /// imaginary lane).
-                ///
-                /// # Safety
-                ///
-                /// CPU must support the enabled feature.
-                #[inline]
-                #[target_feature(enable = $feature)]
-                unsafe fn conj_mask() -> __m128d {
-                    // Constant materialization only; safe inside the
-                    // feature-gated fn.
-                    _mm_set_pd(-0.0, 0.0)
-                }
-
-                /// One radix-2 butterfly stage, one complex per vector.
-                ///
-                /// # Safety
-                ///
-                /// As [`mul_into`]; dispatcher validates `tw.len() ==
-                /// half` and the block structure.
-                #[target_feature(enable = $feature)]
-                pub unsafe fn radix2_stage(
-                    buf: &mut [Complex],
-                    tw: &[Complex],
-                    half: usize,
-                    inverse: bool,
-                ) {
-                    let len = 2 * half;
-                    let n = buf.len();
-                    let p = buf.as_mut_ptr().cast::<f64>();
-                    let pt = tw.as_ptr().cast::<f64>();
-                    let mut i = 0;
-                    while i < n {
-                        let mut k = 0;
-                        while k < half {
-                            // SAFETY: i + k + half < n by the block
-                            // structure; Complex is repr(C) so index c
-                            // lives at f64 offset 2c.
-                            unsafe {
-                                let mut w = _mm_loadu_pd(pt.add(2 * k));
-                                if inverse {
-                                    w = _mm_xor_pd(w, conj_mask());
-                                }
-                                let u = _mm_loadu_pd(p.add(2 * (i + k)));
-                                let v = _mm_loadu_pd(p.add(2 * (i + k + half)));
-                                let vw = cmul1(v, w);
-                                _mm_storeu_pd(p.add(2 * (i + k)), _mm_add_pd(u, vw));
-                                _mm_storeu_pd(p.add(2 * (i + k + half)), _mm_sub_pd(u, vw));
-                            }
-                            k += 1;
-                        }
-                        i += len;
-                    }
-                }
-
-                /// Pointwise `a[i] *= b[i]`, one complex per vector.
-                ///
-                /// # Safety
-                ///
-                /// As [`mul_into`].
-                #[target_feature(enable = $feature)]
-                pub unsafe fn cmul_in_place(a: &mut [Complex], b: &[Complex], conj_b: bool) {
-                    let n = a.len();
-                    let pa = a.as_mut_ptr().cast::<f64>();
-                    let pb = b.as_ptr().cast::<f64>();
-                    for i in 0..n {
-                        // SAFETY: index i < n; repr(C) layout.
-                        unsafe {
-                            let x = _mm_loadu_pd(pa.add(2 * i));
-                            let mut y = _mm_loadu_pd(pb.add(2 * i));
-                            if conj_b {
-                                y = _mm_xor_pd(y, conj_mask());
-                            }
-                            _mm_storeu_pd(pa.add(2 * i), cmul1(x, y));
-                        }
-                    }
-                }
-
-                /// Pointwise `out[i] = a[i] · b[i]`, one complex per
-                /// vector.
-                ///
-                /// # Safety
-                ///
-                /// As [`mul_into`].
-                #[target_feature(enable = $feature)]
-                pub unsafe fn cmul_into(
-                    out: &mut [Complex],
-                    a: &[Complex],
-                    b: &[Complex],
-                    conj_b: bool,
-                ) {
-                    let n = out.len();
-                    let po = out.as_mut_ptr().cast::<f64>();
-                    let pa = a.as_ptr().cast::<f64>();
-                    let pb = b.as_ptr().cast::<f64>();
-                    for i in 0..n {
-                        // SAFETY: index i < n; repr(C) layout.
-                        unsafe {
-                            let x = _mm_loadu_pd(pa.add(2 * i));
-                            let mut y = _mm_loadu_pd(pb.add(2 * i));
-                            if conj_b {
-                                y = _mm_xor_pd(y, conj_mask());
-                            }
-                            _mm_storeu_pd(po.add(2 * i), cmul1(x, y));
-                        }
-                    }
-                }
-
-                /// One split-combine bin pair is still cheapest in
-                /// scalar at this width; delegate to the reference.
-                ///
-                /// # Safety
-                ///
-                /// No unsafe preconditions beyond the feature gate.
-                #[target_feature(enable = $feature)]
-                pub unsafe fn real_split_combine_soa(
-                    z: &[Complex],
-                    tw: &[Complex],
-                    re: &mut [f64],
-                    im: &mut [f64],
-                ) {
-                    scalar::real_split_combine_soa(z, tw, re, im);
-                }
-
-                /// See [`real_split_combine_soa`].
-                ///
-                /// # Safety
-                ///
-                /// No unsafe preconditions beyond the feature gate.
-                #[target_feature(enable = $feature)]
-                pub unsafe fn real_split_combine_aos(
-                    z: &[Complex],
-                    tw: &[Complex],
-                    out: &mut [Complex],
-                ) {
-                    scalar::real_split_combine_aos(z, tw, out);
-                }
-            }
-        };
-    }
-
-    x86_f64x2_kernels!(paste_sse2, "sse2");
-
-    /// AVX2 kernels: true `f64x4` forms for the plane kernels and
-    /// two-complexes-per-vector forms for the complex kernels, falling
-    /// back to the SSE2 forms for remainders.
-    pub mod paste_avx2 {
-        use super::super::{scalar, Complex};
-        #[allow(clippy::wildcard_imports)]
-        use core::arch::x86_64::*;
-
-        /// `out[i] = a[i] · b[i]`.
-        ///
-        /// # Safety
-        ///
-        /// CPU must support AVX2 (runtime-detected by the dispatcher);
-        /// slices must be equal length (asserted by the dispatcher).
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn mul_into(out: &mut [f64], a: &[f64], b: &[f64]) {
-            let n = out.len();
-            let main = n & !3;
-            let (po, pa, pb) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-            let mut i = 0;
-            while i < main {
-                // SAFETY: i + 3 < n on every lane.
-                unsafe {
-                    let va = _mm256_loadu_pd(pa.add(i));
-                    let vb = _mm256_loadu_pd(pb.add(i));
-                    _mm256_storeu_pd(po.add(i), _mm256_mul_pd(va, vb));
-                }
-                i += 4;
-            }
-            for j in i..n {
-                out[j] = a[j] * b[j];
-            }
-        }
-
-        /// `a[i] *= b[i]`.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`].
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn mul_in_place(a: &mut [f64], b: &[f64]) {
-            let n = a.len();
-            let main = n & !3;
-            let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-            let mut i = 0;
-            while i < main {
-                // SAFETY: in-bounds lanes.
-                unsafe {
-                    let va = _mm256_loadu_pd(pa.add(i));
-                    let vb = _mm256_loadu_pd(pb.add(i));
-                    _mm256_storeu_pd(pa.add(i), _mm256_mul_pd(va, vb));
-                }
-                i += 4;
-            }
-            for j in i..n {
-                a[j] *= b[j];
-            }
-        }
-
-        /// `acc[i] += a[i] · b[i]` (multiply then add — no FMA — to round
-        /// exactly like the scalar form).
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`].
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn mul_add_in_place(acc: &mut [f64], a: &[f64], b: &[f64]) {
-            let n = acc.len();
-            let main = n & !3;
-            let (po, pa, pb) = (acc.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-            let mut i = 0;
-            while i < main {
-                // SAFETY: in-bounds lanes.
-                unsafe {
-                    let va = _mm256_loadu_pd(pa.add(i));
-                    let vb = _mm256_loadu_pd(pb.add(i));
-                    let vo = _mm256_loadu_pd(po.add(i));
-                    _mm256_storeu_pd(po.add(i), _mm256_add_pd(vo, _mm256_mul_pd(va, vb)));
-                }
-                i += 4;
-            }
-            for j in i..n {
-                acc[j] += a[j] * b[j];
-            }
-        }
-
-        /// `acc[i] += a[i]`.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`].
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn add_in_place(acc: &mut [f64], a: &[f64]) {
-            let n = acc.len();
-            let main = n & !3;
-            let (po, pa) = (acc.as_mut_ptr(), a.as_ptr());
-            let mut i = 0;
-            while i < main {
-                // SAFETY: in-bounds lanes.
-                unsafe {
-                    let vo = _mm256_loadu_pd(po.add(i));
-                    let va = _mm256_loadu_pd(pa.add(i));
-                    _mm256_storeu_pd(po.add(i), _mm256_add_pd(vo, va));
-                }
-                i += 4;
-            }
-            for j in i..n {
-                acc[j] += a[j];
-            }
-        }
-
-        /// `acc[i] -= a[i]`.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`].
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn sub_in_place(acc: &mut [f64], a: &[f64]) {
-            let n = acc.len();
-            let main = n & !3;
-            let (po, pa) = (acc.as_mut_ptr(), a.as_ptr());
-            let mut i = 0;
-            while i < main {
-                // SAFETY: in-bounds lanes.
-                unsafe {
-                    let vo = _mm256_loadu_pd(po.add(i));
-                    let va = _mm256_loadu_pd(pa.add(i));
-                    _mm256_storeu_pd(po.add(i), _mm256_sub_pd(vo, va));
-                }
-                i += 4;
-            }
-            for j in i..n {
-                acc[j] -= a[j];
-            }
-        }
-
-        /// `a[i] *= s`.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`].
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn scale_in_place(a: &mut [f64], s: f64) {
-            let n = a.len();
-            let main = n & !3;
-            let pa = a.as_mut_ptr();
-            let vs = _mm256_set1_pd(s);
-            let mut i = 0;
-            while i < main {
-                // SAFETY: in-bounds lanes.
-                unsafe {
-                    let va = _mm256_loadu_pd(pa.add(i));
-                    _mm256_storeu_pd(pa.add(i), _mm256_mul_pd(va, vs));
-                }
-                i += 4;
-            }
-            for x in &mut a[i..] {
-                *x *= s;
-            }
-        }
-
-        /// `out[i] = √(re[i]² + im[i]²)`.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`].
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn magnitude_into(out: &mut [f64], re: &[f64], im: &[f64]) {
-            let n = out.len();
-            let main = n & !3;
-            let (po, pr, pi) = (out.as_mut_ptr(), re.as_ptr(), im.as_ptr());
-            let mut i = 0;
-            while i < main {
-                // SAFETY: in-bounds lanes; vsqrtpd is exactly rounded.
-                unsafe {
-                    let r = _mm256_loadu_pd(pr.add(i));
-                    let im_v = _mm256_loadu_pd(pi.add(i));
-                    let s = _mm256_add_pd(_mm256_mul_pd(r, r), _mm256_mul_pd(im_v, im_v));
-                    _mm256_storeu_pd(po.add(i), _mm256_sqrt_pd(s));
-                }
-                i += 4;
-            }
-            for j in i..n {
-                out[j] = (re[j] * re[j] + im[j] * im[j]).sqrt();
-            }
-        }
-
-        /// Deterministic `Σ a[i]²`: one `f64x4` accumulator whose lanes
-        /// are exactly the scalar reference's virtual lanes.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`].
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn sum_sq(a: &[f64]) -> f64 {
-            let n = a.len();
-            let main = n & !3;
-            let pa = a.as_ptr();
-            let mut acc = _mm256_setzero_pd();
-            let mut i = 0;
-            while i < main {
-                // SAFETY: i + 3 < n in the stepped-by-4 loop.
-                unsafe {
-                    let v = _mm256_loadu_pd(pa.add(i));
-                    acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
-                }
-                i += 4;
-            }
-            let mut l = [0.0f64; 4];
-            // SAFETY: `l` holds four f64 slots.
-            unsafe { _mm256_storeu_pd(l.as_mut_ptr(), acc) };
-            let mut tail = 0.0;
-            for &v in &a[main..] {
-                tail += v * v;
-            }
-            ((l[0] + l[1]) + (l[2] + l[3])) + tail
-        }
-
-        /// Deterministic `Σ (re[i]² + im[i]²)`.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`].
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn sum_sq2(re: &[f64], im: &[f64]) -> f64 {
-            let n = re.len();
-            let main = n & !3;
-            let (pr, pi) = (re.as_ptr(), im.as_ptr());
-            let mut acc = _mm256_setzero_pd();
-            let mut i = 0;
-            while i < main {
-                // SAFETY: i + 3 < n in the stepped-by-4 loop.
-                unsafe {
-                    let r = _mm256_loadu_pd(pr.add(i));
-                    let im_v = _mm256_loadu_pd(pi.add(i));
-                    let t = _mm256_add_pd(_mm256_mul_pd(r, r), _mm256_mul_pd(im_v, im_v));
-                    acc = _mm256_add_pd(acc, t);
-                }
-                i += 4;
-            }
-            let mut l = [0.0f64; 4];
-            // SAFETY: `l` holds four f64 slots.
-            unsafe { _mm256_storeu_pd(l.as_mut_ptr(), acc) };
-            let mut tail = 0.0;
-            for (&r, &i) in re[main..].iter().zip(&im[main..]) {
-                tail += r * r + i * i;
-            }
-            ((l[0] + l[1]) + (l[2] + l[3])) + tail
-        }
-
-        /// Complex multiply of two packed complexes `[v0, v1]` by
-        /// `[w0, w1]` (each `vj·wj`), matching the scalar product and
-        /// rounding order per lane.
-        ///
-        /// # Safety
-        ///
-        /// CPU must support AVX2.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn cmul2(v: __m256d, w: __m256d) -> __m256d {
-            // Pure register arithmetic — intrinsic calls are safe inside a
-            // fn already gated on the same feature.
-            let wr = _mm256_movedup_pd(w); // [w0.re, w0.re, w1.re, w1.re]
-            let wi = _mm256_permute_pd(w, 0b1111); // [w0.im ×2, w1.im ×2]
-            let t1 = _mm256_mul_pd(v, wr);
-            let vs = _mm256_permute_pd(v, 0b0101); // swap re/im per complex
-            let t2 = _mm256_mul_pd(vs, wi);
-            // lane re = t1 − t2, lane im = t1 + t2.
-            _mm256_addsub_pd(t1, t2)
-        }
-
-        /// Sign mask negating the imaginary lane of each packed complex.
-        ///
-        /// # Safety
-        ///
-        /// CPU must support AVX2.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn conj_mask2() -> __m256d {
-            // Constant materialization only; safe inside the feature-gated
-            // fn.
-            _mm256_set_pd(-0.0, 0.0, -0.0, 0.0)
-        }
-
-        /// One radix-2 butterfly stage, two complexes (one twiddle pair)
-        /// per vector; stages with `half < 2` use the scalar reference.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`]; dispatcher validates `tw.len() == half` and
-        /// the block structure.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn radix2_stage(
-            buf: &mut [Complex],
-            tw: &[Complex],
-            half: usize,
-            inverse: bool,
-        ) {
-            if half < 2 {
-                scalar::radix2_stage(buf, tw, half, inverse);
-                return;
-            }
-            let len = 2 * half;
-            let n = buf.len();
-            let p = buf.as_mut_ptr().cast::<f64>();
-            let pt = tw.as_ptr().cast::<f64>();
-            // SAFETY: constant materialization.
-            let cm = unsafe { conj_mask2() };
-            let mut i = 0;
-            while i < n {
-                let mut k = 0;
-                // `half` is a power of two ≥ 2, so pairs never leave a
-                // remainder.
-                while k < half {
-                    // SAFETY: i + k + half + 1 < n by the block
-                    // structure; repr(C) puts complex c at f64 offset 2c.
-                    unsafe {
-                        let mut w = _mm256_loadu_pd(pt.add(2 * k));
-                        if inverse {
-                            w = _mm256_xor_pd(w, cm);
-                        }
-                        let u = _mm256_loadu_pd(p.add(2 * (i + k)));
-                        let v = _mm256_loadu_pd(p.add(2 * (i + k + half)));
-                        let vw = cmul2(v, w);
-                        _mm256_storeu_pd(p.add(2 * (i + k)), _mm256_add_pd(u, vw));
-                        _mm256_storeu_pd(p.add(2 * (i + k + half)), _mm256_sub_pd(u, vw));
-                    }
-                    k += 2;
-                }
-                i += len;
-            }
-        }
-
-        /// Pointwise `a[i] *= b[i]`, two complexes per vector.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`].
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn cmul_in_place(a: &mut [Complex], b: &[Complex], conj_b: bool) {
-            let n = a.len();
-            let main = n & !1;
-            let pa = a.as_mut_ptr().cast::<f64>();
-            let pb = b.as_ptr().cast::<f64>();
-            // SAFETY: constant materialization.
-            let cm = unsafe { conj_mask2() };
-            let mut i = 0;
-            while i < main {
-                // SAFETY: complexes i, i+1 < n; repr(C) layout.
-                unsafe {
-                    let x = _mm256_loadu_pd(pa.add(2 * i));
-                    let mut y = _mm256_loadu_pd(pb.add(2 * i));
-                    if conj_b {
-                        y = _mm256_xor_pd(y, cm);
-                    }
-                    _mm256_storeu_pd(pa.add(2 * i), cmul2(x, y));
-                }
-                i += 2;
-            }
-            if i < n {
-                let y = if conj_b { b[i].conj() } else { b[i] };
-                a[i] *= y;
-            }
-        }
-
-        /// Pointwise `out[i] = a[i] · b[i]`, two complexes per vector.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`].
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn cmul_into(out: &mut [Complex], a: &[Complex], b: &[Complex], conj_b: bool) {
-            let n = out.len();
-            let main = n & !1;
-            let po = out.as_mut_ptr().cast::<f64>();
-            let pa = a.as_ptr().cast::<f64>();
-            let pb = b.as_ptr().cast::<f64>();
-            // SAFETY: constant materialization.
-            let cm = unsafe { conj_mask2() };
-            let mut i = 0;
-            while i < main {
-                // SAFETY: complexes i, i+1 < n; repr(C) layout.
-                unsafe {
-                    let x = _mm256_loadu_pd(pa.add(2 * i));
-                    let mut y = _mm256_loadu_pd(pb.add(2 * i));
-                    if conj_b {
-                        y = _mm256_xor_pd(y, cm);
-                    }
-                    _mm256_storeu_pd(po.add(2 * i), cmul2(x, y));
-                }
-                i += 2;
-            }
-            if i < n {
-                let y = if conj_b { b[i].conj() } else { b[i] };
-                out[i] = a[i] * y;
-            }
-        }
-
-        /// Two split-combine bins per iteration: forward pair `z[k..k+2]`
-        /// against the reversed, conjugated pair `[z[m−k], z[m−k−1]]`,
-        /// with the edge bins (`k = 0`, `k = m`, odd leftover) delegated
-        /// to the scalar reference.
-        ///
-        /// Returns the first uncombined interior bin.
-        ///
-        /// # Safety
-        ///
-        /// CPU must support AVX2; `z.len() == m`, `tw.len() == m + 1`;
-        /// the caller stores pairs for `k` in `1..ret`.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn split_pair(z: &[Complex], tw: &[Complex], k: usize) -> __m256d {
-            let m = z.len();
-            let pz = z.as_ptr().cast::<f64>();
-            let pt = tw.as_ptr().cast::<f64>();
-            // SAFETY: caller guarantees 1 ≤ k and k + 1 ≤ m − 1, so both
-            // the forward pair [k, k+1] and the reversed pair
-            // [m−k−1, m−k] stay inside `z`.
-            unsafe {
-                let cm = conj_mask2();
-                let a = _mm256_loadu_pd(pz.add(2 * k));
-                // [z[m−k−1], z[m−k]] → swap the 128-bit halves →
-                // [z[m−k], z[m−k−1]], then conjugate.
-                let braw = _mm256_loadu_pd(pz.add(2 * (m - k - 1)));
-                let b = _mm256_xor_pd(_mm256_permute2f128_pd(braw, braw, 0x01), cm);
-                let halfv = _mm256_set1_pd(0.5);
-                // Ze = (a + b)/2 — matches scalar (a + b).scale(0.5).
-                let ze = _mm256_mul_pd(_mm256_add_pd(a, b), halfv);
-                let d = _mm256_sub_pd(a, b);
-                // Zo = (d.im, −d.re)/2: swap lanes, negate im lane, halve.
-                let ds = _mm256_permute_pd(d, 0b0101);
-                let zo = _mm256_mul_pd(_mm256_xor_pd(ds, cm), halfv);
-                let t = _mm256_loadu_pd(pt.add(2 * k));
-                // X = Ze + tw·Zo; cmul2(zo, t) keeps the scalar product
-                // order (tw.re·zo parts first per lane).
-                _mm256_add_pd(ze, cmul2(zo, t))
-            }
-        }
-
-        /// Split-twiddle combine into SoA planes.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`]; dispatcher validates plane lengths.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn real_split_combine_soa(
-            z: &[Complex],
-            tw: &[Complex],
-            re: &mut [f64],
-            im: &mut [f64],
-        ) {
-            let m = z.len();
-            if m < 4 {
-                scalar::real_split_combine_soa(z, tw, re, im);
-                return;
-            }
-            let (pr, pi) = (re.as_mut_ptr(), im.as_mut_ptr());
-            // Edge bins wrap `(m − k) % m`; keep them scalar.
-            let e0 = scalar::split_bin(z, tw, m, 0);
-            re[0] = e0.re;
-            im[0] = e0.im;
-            let mut k = 1;
-            while k + 2 <= m {
-                // SAFETY: 1 ≤ k, k + 1 ≤ m − 1 (loop bound); outputs have
-                // m + 1 slots so k + 1 is in bounds.
-                unsafe {
-                    let x = split_pair(z, tw, k);
-                    // x = [re0, im0, re1, im1]; select lanes (0,2) and
-                    // (1,3) into 128-bit stores.
-                    let res = _mm256_castpd256_pd128(_mm256_permute4x64_pd(x, 0b00_00_10_00));
-                    let ims = _mm256_castpd256_pd128(_mm256_permute4x64_pd(x, 0b00_00_11_01));
-                    _mm_storeu_pd(pr.add(k), res);
-                    _mm_storeu_pd(pi.add(k), ims);
-                }
-                k += 2;
-            }
-            while k <= m {
-                let x = scalar::split_bin(z, tw, m, k);
-                re[k] = x.re;
-                im[k] = x.im;
-                k += 1;
-            }
-        }
-
-        /// Split-twiddle combine into an AoS half spectrum.
-        ///
-        /// # Safety
-        ///
-        /// As [`mul_into`]; dispatcher validates lengths.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn real_split_combine_aos(z: &[Complex], tw: &[Complex], out: &mut [Complex]) {
-            let m = z.len();
-            if m < 4 {
-                scalar::real_split_combine_aos(z, tw, out);
-                return;
-            }
-            let po = out.as_mut_ptr().cast::<f64>();
-            out[0] = scalar::split_bin(z, tw, m, 0);
-            let mut k = 1;
-            while k + 2 <= m {
-                // SAFETY: 1 ≤ k, k + 1 ≤ m − 1; out has m + 1 complexes.
-                unsafe {
-                    let x = split_pair(z, tw, k);
-                    _mm256_storeu_pd(po.add(2 * k), x);
-                }
-                k += 2;
-            }
-            while k <= m {
-                out[k] = scalar::split_bin(z, tw, m, k);
-                k += 1;
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    //! NEON (`f64x2`) kernel forms. The split-combine kernels delegate to
-    //! the scalar reference — at two lanes the shuffle overhead of the
-    //! reversed load outweighs the win.
-
+mod avx2 {
     use super::{scalar, Complex};
     #[allow(clippy::wildcard_imports)]
-    use core::arch::aarch64::*;
+    use core::arch::x86_64::*;
 
-    /// `out[i] = a[i] · b[i]`.
+    /// Deterministic `Σ a[i]²`: one `f64x4` accumulator whose lanes
+    /// are exactly the scalar reference's virtual lanes.
     ///
     /// # Safety
     ///
-    /// NEON is part of the aarch64 baseline; slices must be equal length
-    /// (asserted by the dispatcher).
-    pub unsafe fn mul_into(out: &mut [f64], a: &[f64], b: &[f64]) {
-        let n = out.len();
-        let main = n & !1;
-        let (po, pa, pb) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-        let mut i = 0;
-        while i < main {
-            // SAFETY: in-bounds lanes.
-            unsafe {
-                let va = vld1q_f64(pa.add(i));
-                let vb = vld1q_f64(pb.add(i));
-                vst1q_f64(po.add(i), vmulq_f64(va, vb));
-            }
-            i += 2;
-        }
-        if i < n {
-            out[i] = a[i] * b[i];
-        }
-    }
-
-    /// `a[i] *= b[i]`.
-    ///
-    /// # Safety
-    ///
-    /// As [`mul_into`].
-    pub unsafe fn mul_in_place(a: &mut [f64], b: &[f64]) {
-        let n = a.len();
-        let main = n & !1;
-        let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-        let mut i = 0;
-        while i < main {
-            // SAFETY: in-bounds lanes.
-            unsafe {
-                let va = vld1q_f64(pa.add(i));
-                let vb = vld1q_f64(pb.add(i));
-                vst1q_f64(pa.add(i), vmulq_f64(va, vb));
-            }
-            i += 2;
-        }
-        if i < n {
-            a[i] *= b[i];
-        }
-    }
-
-    /// `acc[i] += a[i] · b[i]` (multiply then add — no fused form — to
-    /// round exactly like the scalar reference).
-    ///
-    /// # Safety
-    ///
-    /// As [`mul_into`].
-    pub unsafe fn mul_add_in_place(acc: &mut [f64], a: &[f64], b: &[f64]) {
-        let n = acc.len();
-        let main = n & !1;
-        let (po, pa, pb) = (acc.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-        let mut i = 0;
-        while i < main {
-            // SAFETY: in-bounds lanes.
-            unsafe {
-                let va = vld1q_f64(pa.add(i));
-                let vb = vld1q_f64(pb.add(i));
-                let vo = vld1q_f64(po.add(i));
-                vst1q_f64(po.add(i), vaddq_f64(vo, vmulq_f64(va, vb)));
-            }
-            i += 2;
-        }
-        if i < n {
-            acc[i] += a[i] * b[i];
-        }
-    }
-
-    /// `acc[i] += a[i]`.
-    ///
-    /// # Safety
-    ///
-    /// As [`mul_into`].
-    pub unsafe fn add_in_place(acc: &mut [f64], a: &[f64]) {
-        let n = acc.len();
-        let main = n & !1;
-        let (po, pa) = (acc.as_mut_ptr(), a.as_ptr());
-        let mut i = 0;
-        while i < main {
-            // SAFETY: in-bounds lanes.
-            unsafe {
-                let vo = vld1q_f64(po.add(i));
-                let va = vld1q_f64(pa.add(i));
-                vst1q_f64(po.add(i), vaddq_f64(vo, va));
-            }
-            i += 2;
-        }
-        if i < n {
-            acc[i] += a[i];
-        }
-    }
-
-    /// `acc[i] -= a[i]`.
-    ///
-    /// # Safety
-    ///
-    /// As [`mul_into`].
-    pub unsafe fn sub_in_place(acc: &mut [f64], a: &[f64]) {
-        let n = acc.len();
-        let main = n & !1;
-        let (po, pa) = (acc.as_mut_ptr(), a.as_ptr());
-        let mut i = 0;
-        while i < main {
-            // SAFETY: in-bounds lanes.
-            unsafe {
-                let vo = vld1q_f64(po.add(i));
-                let va = vld1q_f64(pa.add(i));
-                vst1q_f64(po.add(i), vsubq_f64(vo, va));
-            }
-            i += 2;
-        }
-        if i < n {
-            acc[i] -= a[i];
-        }
-    }
-
-    /// `a[i] *= s`.
-    ///
-    /// # Safety
-    ///
-    /// As [`mul_into`].
-    pub unsafe fn scale_in_place(a: &mut [f64], s: f64) {
-        let n = a.len();
-        let main = n & !1;
-        let pa = a.as_mut_ptr();
-        // SAFETY: constant materialization.
-        let vs = unsafe { vdupq_n_f64(s) };
-        let mut i = 0;
-        while i < main {
-            // SAFETY: in-bounds lanes.
-            unsafe {
-                let va = vld1q_f64(pa.add(i));
-                vst1q_f64(pa.add(i), vmulq_f64(va, vs));
-            }
-            i += 2;
-        }
-        if i < n {
-            a[i] *= s;
-        }
-    }
-
-    /// `out[i] = √(re[i]² + im[i]²)` (`vsqrtq_f64` is exactly rounded).
-    ///
-    /// # Safety
-    ///
-    /// As [`mul_into`].
-    pub unsafe fn magnitude_into(out: &mut [f64], re: &[f64], im: &[f64]) {
-        let n = out.len();
-        let main = n & !1;
-        let (po, pr, pi) = (out.as_mut_ptr(), re.as_ptr(), im.as_ptr());
-        let mut i = 0;
-        while i < main {
-            // SAFETY: in-bounds lanes.
-            unsafe {
-                let r = vld1q_f64(pr.add(i));
-                let im_v = vld1q_f64(pi.add(i));
-                let s = vaddq_f64(vmulq_f64(r, r), vmulq_f64(im_v, im_v));
-                vst1q_f64(po.add(i), vsqrtq_f64(s));
-            }
-            i += 2;
-        }
-        if i < n {
-            out[i] = (re[i] * re[i] + im[i] * im[i]).sqrt();
-        }
-    }
-
-    /// Deterministic `Σ a[i]²`: two `f64x2` accumulators hold virtual
-    /// lanes (0,1) and (2,3), combined in the scalar reference order.
-    ///
-    /// # Safety
-    ///
-    /// As [`mul_into`].
+    /// See the module docs.
+    #[target_feature(enable = "avx2")]
     pub unsafe fn sum_sq(a: &[f64]) -> f64 {
         let n = a.len();
         let main = n & !3;
         let pa = a.as_ptr();
-        // SAFETY: constant materialization.
-        let mut acc01 = unsafe { vdupq_n_f64(0.0) };
-        let mut acc23 = acc01;
+        let mut acc = _mm256_setzero_pd();
         let mut i = 0;
         while i < main {
             // SAFETY: i + 3 < n in the stepped-by-4 loop.
             unsafe {
-                let v01 = vld1q_f64(pa.add(i));
-                let v23 = vld1q_f64(pa.add(i + 2));
-                acc01 = vaddq_f64(acc01, vmulq_f64(v01, v01));
-                acc23 = vaddq_f64(acc23, vmulq_f64(v23, v23));
+                let v = _mm256_loadu_pd(pa.add(i));
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
             }
             i += 4;
         }
-        // SAFETY: lane extraction of live registers.
-        let (l0, l1, l2, l3) = unsafe {
-            (
-                vgetq_lane_f64::<0>(acc01),
-                vgetq_lane_f64::<1>(acc01),
-                vgetq_lane_f64::<0>(acc23),
-                vgetq_lane_f64::<1>(acc23),
-            )
-        };
+        let mut l = [0.0f64; 4];
+        // SAFETY: `l` holds four f64 slots.
+        unsafe { _mm256_storeu_pd(l.as_mut_ptr(), acc) };
         let mut tail = 0.0;
         for &v in &a[main..] {
             tail += v * v;
         }
-        ((l0 + l1) + (l2 + l3)) + tail
+        ((l[0] + l[1]) + (l[2] + l[3])) + tail
     }
 
-    /// Deterministic `Σ (re[i]² + im[i]²)`; striping as [`sum_sq`].
+    /// Deterministic `Σ (re[i]² + im[i]²)`.
     ///
     /// # Safety
     ///
-    /// As [`mul_into`].
+    /// See the module docs.
+    #[target_feature(enable = "avx2")]
     pub unsafe fn sum_sq2(re: &[f64], im: &[f64]) -> f64 {
         let n = re.len();
         let main = n & !3;
         let (pr, pi) = (re.as_ptr(), im.as_ptr());
-        // SAFETY: constant materialization.
-        let mut acc01 = unsafe { vdupq_n_f64(0.0) };
-        let mut acc23 = acc01;
+        let mut acc = _mm256_setzero_pd();
         let mut i = 0;
         while i < main {
             // SAFETY: i + 3 < n in the stepped-by-4 loop.
             unsafe {
-                let r01 = vld1q_f64(pr.add(i));
-                let i01 = vld1q_f64(pi.add(i));
-                let r23 = vld1q_f64(pr.add(i + 2));
-                let i23 = vld1q_f64(pi.add(i + 2));
-                acc01 = vaddq_f64(acc01, vaddq_f64(vmulq_f64(r01, r01), vmulq_f64(i01, i01)));
-                acc23 = vaddq_f64(acc23, vaddq_f64(vmulq_f64(r23, r23), vmulq_f64(i23, i23)));
+                let r = _mm256_loadu_pd(pr.add(i));
+                let im_v = _mm256_loadu_pd(pi.add(i));
+                let t = _mm256_add_pd(_mm256_mul_pd(r, r), _mm256_mul_pd(im_v, im_v));
+                acc = _mm256_add_pd(acc, t);
             }
             i += 4;
         }
-        // SAFETY: lane extraction of live registers.
-        let (l0, l1, l2, l3) = unsafe {
-            (
-                vgetq_lane_f64::<0>(acc01),
-                vgetq_lane_f64::<1>(acc01),
-                vgetq_lane_f64::<0>(acc23),
-                vgetq_lane_f64::<1>(acc23),
-            )
-        };
+        let mut l = [0.0f64; 4];
+        // SAFETY: `l` holds four f64 slots.
+        unsafe { _mm256_storeu_pd(l.as_mut_ptr(), acc) };
         let mut tail = 0.0;
         for (&r, &i) in re[main..].iter().zip(&im[main..]) {
             tail += r * r + i * i;
         }
-        ((l0 + l1) + (l2 + l3)) + tail
+        ((l[0] + l[1]) + (l[2] + l[3])) + tail
     }
 
-    /// Complex multiply of one `f64x2` vector `[v.re, v.im]` by `w`,
-    /// matching the scalar product and rounding order (the `±1` multiply
-    /// emulating addsub is exact).
+    /// Complex multiply of two packed complexes `[v0, v1]` by
+    /// `[w0, w1]` (each `vj·wj`), matching the scalar product and
+    /// rounding order per lane.
     ///
     /// # Safety
     ///
-    /// Register arithmetic only.
+    /// CPU must support AVX2.
     #[inline]
-    unsafe fn cmul1(v: float64x2_t, w: float64x2_t) -> float64x2_t {
-        // SAFETY: pure register arithmetic.
-        unsafe {
-            let wr = vdupq_laneq_f64::<0>(w);
-            let wi = vdupq_laneq_f64::<1>(w);
-            let t1 = vmulq_f64(v, wr); // [v.re·w.re, v.im·w.re]
-            let vs = vextq_f64::<1>(v, v); // [v.im, v.re]
-            let t2 = vmulq_f64(vs, wi); // [v.im·w.im, v.re·w.im]
-                                        // addsub: negate lane 0 of t2 (exact ±1 multiply), then add.
-            let sign = vcombine_f64(vdup_n_f64(-1.0), vdup_n_f64(1.0));
-            vaddq_f64(t1, vmulq_f64(t2, sign))
-        }
+    #[target_feature(enable = "avx2")]
+    unsafe fn cmul2(v: __m256d, w: __m256d) -> __m256d {
+        // Pure register arithmetic — intrinsic calls are safe inside a
+        // fn already gated on the same feature.
+        let wr = _mm256_movedup_pd(w); // [w0.re, w0.re, w1.re, w1.re]
+        let wi = _mm256_permute_pd(w, 0b1111); // [w0.im ×2, w1.im ×2]
+        let t1 = _mm256_mul_pd(v, wr);
+        let vs = _mm256_permute_pd(v, 0b0101); // swap re/im per complex
+        let t2 = _mm256_mul_pd(vs, wi);
+        // lane re = t1 − t2, lane im = t1 + t2.
+        _mm256_addsub_pd(t1, t2)
     }
 
-    /// Negates the imaginary lane (conjugation), via an exact ±1
-    /// multiply.
+    /// Sign mask negating the imaginary lane of each packed complex.
     ///
     /// # Safety
     ///
-    /// Register arithmetic only.
+    /// CPU must support AVX2.
     #[inline]
-    unsafe fn conj(v: float64x2_t) -> float64x2_t {
-        // SAFETY: pure register arithmetic.
-        unsafe {
-            let sign = vcombine_f64(vdup_n_f64(1.0), vdup_n_f64(-1.0));
-            vmulq_f64(v, sign)
-        }
+    #[target_feature(enable = "avx2")]
+    unsafe fn conj_mask2() -> __m256d {
+        // Constant materialization only; safe inside the feature-gated
+        // fn.
+        _mm256_set_pd(-0.0, 0.0, -0.0, 0.0)
     }
 
-    /// One radix-2 butterfly stage, one complex per vector.
+    /// One radix-2 butterfly stage, two complexes (one twiddle pair)
+    /// per vector; stages with an odd `half` (the FFT's `half == 1`
+    /// stage) use the scalar reference, since a pair would overrun the
+    /// butterfly span.
     ///
     /// # Safety
     ///
-    /// As [`mul_into`]; dispatcher validates `tw.len() == half` and the
-    /// block structure.
+    /// See the module docs.
+    #[target_feature(enable = "avx2")]
     pub unsafe fn radix2_stage(buf: &mut [Complex], tw: &[Complex], half: usize, inverse: bool) {
+        if half % 2 != 0 {
+            scalar::radix2_stage(buf, tw, half, inverse);
+            return;
+        }
         let len = 2 * half;
         let n = buf.len();
         let p = buf.as_mut_ptr().cast::<f64>();
         let pt = tw.as_ptr().cast::<f64>();
+        // SAFETY: constant materialization.
+        let cm = unsafe { conj_mask2() };
         let mut i = 0;
         while i < n {
             let mut k = 0;
+            // `half` is even, so pairs never leave a remainder.
             while k < half {
-                // SAFETY: i + k + half < n by the block structure;
-                // repr(C) puts complex c at f64 offset 2c.
+                // SAFETY: i + k + half + 1 < n by the block
+                // structure; repr(C) puts complex c at f64 offset 2c.
                 unsafe {
-                    let mut w = vld1q_f64(pt.add(2 * k));
+                    let mut w = _mm256_loadu_pd(pt.add(2 * k));
                     if inverse {
-                        w = conj(w);
+                        w = _mm256_xor_pd(w, cm);
                     }
-                    let u = vld1q_f64(p.add(2 * (i + k)));
-                    let v = vld1q_f64(p.add(2 * (i + k + half)));
-                    let vw = cmul1(v, w);
-                    vst1q_f64(p.add(2 * (i + k)), vaddq_f64(u, vw));
-                    vst1q_f64(p.add(2 * (i + k + half)), vsubq_f64(u, vw));
+                    let u = _mm256_loadu_pd(p.add(2 * (i + k)));
+                    let v = _mm256_loadu_pd(p.add(2 * (i + k + half)));
+                    let vw = cmul2(v, w);
+                    _mm256_storeu_pd(p.add(2 * (i + k)), _mm256_add_pd(u, vw));
+                    _mm256_storeu_pd(p.add(2 * (i + k + half)), _mm256_sub_pd(u, vw));
                 }
-                k += 1;
+                k += 2;
             }
             i += len;
         }
     }
 
-    /// Pointwise `a[i] *= b[i]`, one complex per vector.
+    /// Pointwise `a[i] *= b[i]`, two complexes per vector.
     ///
     /// # Safety
     ///
-    /// As [`mul_into`].
+    /// See the module docs.
+    #[target_feature(enable = "avx2")]
     pub unsafe fn cmul_in_place(a: &mut [Complex], b: &[Complex], conj_b: bool) {
         let n = a.len();
+        let main = n & !1;
         let pa = a.as_mut_ptr().cast::<f64>();
         let pb = b.as_ptr().cast::<f64>();
-        for i in 0..n {
-            // SAFETY: index i < n; repr(C) layout.
+        // SAFETY: constant materialization.
+        let cm = unsafe { conj_mask2() };
+        let mut i = 0;
+        while i < main {
+            // SAFETY: complexes i, i+1 < n; repr(C) layout.
             unsafe {
-                let x = vld1q_f64(pa.add(2 * i));
-                let mut y = vld1q_f64(pb.add(2 * i));
+                let x = _mm256_loadu_pd(pa.add(2 * i));
+                let mut y = _mm256_loadu_pd(pb.add(2 * i));
                 if conj_b {
-                    y = conj(y);
+                    y = _mm256_xor_pd(y, cm);
                 }
-                vst1q_f64(pa.add(2 * i), cmul1(x, y));
+                _mm256_storeu_pd(pa.add(2 * i), cmul2(x, y));
             }
+            i += 2;
+        }
+        if i < n {
+            let y = if conj_b { b[i].conj() } else { b[i] };
+            a[i] *= y;
         }
     }
 
-    /// Pointwise `out[i] = a[i] · b[i]`, one complex per vector.
+    /// Pointwise `out[i] = a[i] · b[i]`, two complexes per vector.
     ///
     /// # Safety
     ///
-    /// As [`mul_into`].
+    /// See the module docs.
+    #[target_feature(enable = "avx2")]
     pub unsafe fn cmul_into(out: &mut [Complex], a: &[Complex], b: &[Complex], conj_b: bool) {
         let n = out.len();
+        let main = n & !1;
         let po = out.as_mut_ptr().cast::<f64>();
         let pa = a.as_ptr().cast::<f64>();
         let pb = b.as_ptr().cast::<f64>();
-        for i in 0..n {
-            // SAFETY: index i < n; repr(C) layout.
+        // SAFETY: constant materialization.
+        let cm = unsafe { conj_mask2() };
+        let mut i = 0;
+        while i < main {
+            // SAFETY: complexes i, i+1 < n; repr(C) layout.
             unsafe {
-                let x = vld1q_f64(pa.add(2 * i));
-                let mut y = vld1q_f64(pb.add(2 * i));
+                let x = _mm256_loadu_pd(pa.add(2 * i));
+                let mut y = _mm256_loadu_pd(pb.add(2 * i));
                 if conj_b {
-                    y = conj(y);
+                    y = _mm256_xor_pd(y, cm);
                 }
-                vst1q_f64(po.add(2 * i), cmul1(x, y));
+                _mm256_storeu_pd(po.add(2 * i), cmul2(x, y));
             }
+            i += 2;
+        }
+        if i < n {
+            let y = if conj_b { b[i].conj() } else { b[i] };
+            out[i] = a[i] * y;
         }
     }
 
-    /// Delegates to the scalar reference (see the module docs).
+    /// Two split-combine bins per iteration: forward pair `z[k..k+2]`
+    /// against the reversed, conjugated pair `[z[m−k], z[m−k−1]]`,
+    /// with the edge bins (`k = 0`, `k = m`, odd leftover) delegated
+    /// to the scalar reference.
+    ///
+    /// Returns `[X[k], X[k+1]]` packed.
     ///
     /// # Safety
     ///
-    /// No unsafe preconditions.
+    /// CPU must support AVX2; `tw.len() == z.len() + 1` and
+    /// `1 ≤ k`, `k + 2 ≤ z.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn split_pair(z: &[Complex], tw: &[Complex], k: usize) -> __m256d {
+        let m = z.len();
+        let pz = z.as_ptr().cast::<f64>();
+        let pt = tw.as_ptr().cast::<f64>();
+        // SAFETY: caller guarantees 1 ≤ k and k + 1 ≤ m − 1, so both
+        // the forward pair [k, k+1] and the reversed pair
+        // [m−k−1, m−k] stay inside `z`.
+        unsafe {
+            let cm = conj_mask2();
+            let a = _mm256_loadu_pd(pz.add(2 * k));
+            // [z[m−k−1], z[m−k]] → swap the 128-bit halves →
+            // [z[m−k], z[m−k−1]], then conjugate.
+            let braw = _mm256_loadu_pd(pz.add(2 * (m - k - 1)));
+            let b = _mm256_xor_pd(_mm256_permute2f128_pd(braw, braw, 0x01), cm);
+            let halfv = _mm256_set1_pd(0.5);
+            // Ze = (a + b)/2 — matches scalar (a + b).scale(0.5).
+            let ze = _mm256_mul_pd(_mm256_add_pd(a, b), halfv);
+            let d = _mm256_sub_pd(a, b);
+            // Zo = (d.im, −d.re)/2: swap lanes, negate im lane, halve.
+            let ds = _mm256_permute_pd(d, 0b0101);
+            let zo = _mm256_mul_pd(_mm256_xor_pd(ds, cm), halfv);
+            let t = _mm256_loadu_pd(pt.add(2 * k));
+            // X = Ze + tw·Zo; cmul2(zo, t) keeps the scalar product
+            // order (tw.re·zo parts first per lane).
+            _mm256_add_pd(ze, cmul2(zo, t))
+        }
+    }
+
+    /// Split-twiddle combine into SoA planes.
+    ///
+    /// # Safety
+    ///
+    /// See the module docs.
+    #[target_feature(enable = "avx2")]
     pub unsafe fn real_split_combine_soa(
         z: &[Complex],
         tw: &[Complex],
         re: &mut [f64],
         im: &mut [f64],
     ) {
-        scalar::real_split_combine_soa(z, tw, re, im);
+        let m = z.len();
+        if m < 4 {
+            scalar::real_split_combine_soa(z, tw, re, im);
+            return;
+        }
+        let (pr, pi) = (re.as_mut_ptr(), im.as_mut_ptr());
+        // Edge bins wrap `(m − k) % m`; keep them scalar.
+        let e0 = scalar::split_bin(z, tw, m, 0);
+        re[0] = e0.re;
+        im[0] = e0.im;
+        let mut k = 1;
+        while k + 2 <= m {
+            // SAFETY: 1 ≤ k, k + 1 ≤ m − 1 (loop bound); outputs have
+            // m + 1 slots so k + 1 is in bounds.
+            unsafe {
+                let x = split_pair(z, tw, k);
+                // x = [re0, im0, re1, im1]; select lanes (0,2) and
+                // (1,3) into 128-bit stores.
+                let res = _mm256_castpd256_pd128(_mm256_permute4x64_pd(x, 0b00_00_10_00));
+                let ims = _mm256_castpd256_pd128(_mm256_permute4x64_pd(x, 0b00_00_11_01));
+                _mm_storeu_pd(pr.add(k), res);
+                _mm_storeu_pd(pi.add(k), ims);
+            }
+            k += 2;
+        }
+        while k <= m {
+            let x = scalar::split_bin(z, tw, m, k);
+            re[k] = x.re;
+            im[k] = x.im;
+            k += 1;
+        }
     }
 
-    /// Delegates to the scalar reference (see the module docs).
+    /// Split-twiddle combine into an AoS half spectrum.
     ///
     /// # Safety
     ///
-    /// No unsafe preconditions.
+    /// See the module docs.
+    #[target_feature(enable = "avx2")]
     pub unsafe fn real_split_combine_aos(z: &[Complex], tw: &[Complex], out: &mut [Complex]) {
-        scalar::real_split_combine_aos(z, tw, out);
+        let m = z.len();
+        if m < 4 {
+            scalar::real_split_combine_aos(z, tw, out);
+            return;
+        }
+        let po = out.as_mut_ptr().cast::<f64>();
+        out[0] = scalar::split_bin(z, tw, m, 0);
+        let mut k = 1;
+        while k + 2 <= m {
+            // SAFETY: 1 ≤ k, k + 1 ≤ m − 1; out has m + 1 complexes.
+            unsafe {
+                let x = split_pair(z, tw, k);
+                _mm256_storeu_pd(po.add(2 * k), x);
+            }
+            k += 2;
+        }
+        while k <= m {
+            out[k] = scalar::split_bin(z, tw, m, k);
+            k += 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
-    fn levels_to_test() -> Vec<Level> {
-        let mut l = vec![Level::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            l.push(Level::Sse2);
-            if std::arch::is_x86_feature_detected!("avx2") {
-                l.push(Level::Avx2);
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        l.push(Level::Neon);
-        l
-    }
+    /// [`force_scalar`] is process-global; tests that flip it run one at
+    /// a time so each one's claimed level coverage holds.
+    static DISPATCH: Mutex<()> = Mutex::new(());
 
     fn data(n: usize, seed: u64) -> Vec<f64> {
         // Small deterministic LCG; values span sign and magnitude.
@@ -1933,14 +846,15 @@ mod tests {
         re.into_iter().zip(im).map(|(r, i)| Complex::new(r, i)).collect()
     }
 
-    /// Runs `f` once per dispatch level available on this machine,
-    /// restoring auto dispatch afterwards.
+    /// Runs `f` forced-scalar, then at the native level, restoring auto
+    /// dispatch afterwards.
     fn with_each_level(mut f: impl FnMut(Level)) {
-        for l in levels_to_test() {
-            set_dispatch_override(Some(l));
-            f(l);
+        let _guard = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
+        for forced in [true, false] {
+            force_scalar(forced);
+            f(active_level());
         }
-        set_dispatch_override(None);
+        force_scalar(false);
     }
 
     #[test]
@@ -1948,25 +862,9 @@ mod tests {
         for n in [0, 1, 2, 3, 4, 5, 6, 7, 8, 15, 33, 64, 257] {
             let a = data(n, 1);
             let b = data(n, 2);
-            let mut want_mul = vec![0.0; n];
-            scalar::mul_into(&mut want_mul, &a, &b);
-            let mut want_acc = data(n, 3);
-            scalar::mul_add_in_place(&mut want_acc, &a, &b);
-            let mut want_mag = vec![0.0; n];
-            scalar::magnitude_into(&mut want_mag, &a, &b);
             let want_ss = scalar::sum_sq(&a);
             let want_ss2 = scalar::sum_sq2(&a, &b);
-
             with_each_level(|l| {
-                let mut got = vec![0.0; n];
-                mul_into(&mut got, &a, &b);
-                assert_eq!(got, want_mul, "mul_into n={n} level={l}");
-                let mut acc = data(n, 3);
-                mul_add_in_place(&mut acc, &a, &b);
-                assert_eq!(acc, want_acc, "mul_add n={n} level={l}");
-                let mut mag = vec![0.0; n];
-                magnitude_into(&mut mag, &a, &b);
-                assert_eq!(mag, want_mag, "magnitude n={n} level={l}");
                 assert_eq!(sum_sq(&a).to_bits(), want_ss.to_bits(), "sum_sq n={n} level={l}");
                 assert_eq!(
                     sum_sq2(&a, &b).to_bits(),
@@ -1979,7 +877,9 @@ mod tests {
 
     #[test]
     fn complex_kernels_bit_identical_across_levels() {
-        for half in [1usize, 2, 4, 8, 16] {
+        // Odd spans (3, 5) are not FFT stages but are valid input: the
+        // AVX2 arm must hand them to the scalar reference, not overrun.
+        for half in [1usize, 2, 3, 4, 5, 8, 16] {
             let n = 4 * half; // two blocks
             let tw = cdata(half, 7);
             let src = cdata(n, 8);
@@ -2003,6 +903,9 @@ mod tests {
                     let mut got = a.clone();
                     cmul_in_place(&mut got, &b, conj_b);
                     assert_eq!(got, want, "cmul n={n} conj={conj_b} level={l}");
+                    let mut out = vec![Complex::ZERO; n];
+                    cmul_into(&mut out, &a, &b, conj_b);
+                    assert_eq!(out, want, "cmul_into n={n} conj={conj_b} level={l}");
                 });
             }
         }
@@ -2029,15 +932,11 @@ mod tests {
 
     #[test]
     fn force_scalar_pins_and_releases_dispatch() {
+        let _guard = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
         force_scalar(true);
         assert_eq!(active_level(), Level::Scalar);
         force_scalar(false);
-        let auto = active_level();
-        // Whatever auto resolves to, an over-capability request clamps.
-        set_dispatch_override(Some(Level::Avx2));
-        assert!(active_level() <= Level::Avx2.max(auto));
-        set_dispatch_override(None);
-        assert_eq!(active_level(), auto);
+        assert_eq!(active_level(), detected_level());
     }
 
     #[test]
@@ -2047,5 +946,66 @@ mod tests {
         assert_eq!(complex_lanes(&buf), &flat[..]);
         complex_lanes_mut(&mut buf)[3] = 42.0;
         assert_eq!(buf[1].im, 42.0);
+    }
+
+    // The shape asserts below are all that keeps the AVX2 arms' pointer
+    // arithmetic in bounds, so each one is pinned by a test.
+
+    #[test]
+    #[should_panic(expected = "sum_sq2 length mismatch")]
+    fn sum_sq2_rejects_mismatched_planes() {
+        sum_sq2(&[1.0; 8], &[1.0; 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cmul_in_place length mismatch")]
+    fn cmul_in_place_rejects_short_operand() {
+        cmul_in_place(&mut [Complex::ZERO; 8], &[Complex::ZERO; 7], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "cmul_into length mismatch")]
+    fn cmul_into_rejects_short_operand() {
+        cmul_into(&mut [Complex::ZERO; 8], &[Complex::ZERO; 8], &[Complex::ZERO; 7], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "twiddle slice must cover one butterfly span")]
+    fn radix2_stage_rejects_short_twiddles() {
+        radix2_stage(&mut [Complex::ZERO; 8], &[Complex::ZERO; 1], 2, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer must hold whole butterfly blocks")]
+    fn radix2_stage_rejects_partial_block() {
+        radix2_stage(&mut [Complex::ZERO; 6], &[Complex::ZERO; 2], 2, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "split twiddle table length mismatch")]
+    fn real_split_combine_soa_rejects_short_twiddles() {
+        real_split_combine_soa(
+            &[Complex::ZERO; 8],
+            &[Complex::ZERO; 8],
+            &mut [0.0; 9],
+            &mut [0.0; 9],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "im plane length mismatch")]
+    fn real_split_combine_soa_rejects_short_plane() {
+        real_split_combine_soa(
+            &[Complex::ZERO; 8],
+            &[Complex::ZERO; 9],
+            &mut [0.0; 9],
+            &mut [0.0; 8],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "half spectrum length mismatch")]
+    fn real_split_combine_aos_rejects_short_output() {
+        real_split_combine_aos(&[Complex::ZERO; 8], &[Complex::ZERO; 9], &mut [Complex::ZERO; 8]);
     }
 }

@@ -1,9 +1,10 @@
 //! The SIMD bit-identity invariant (property tests): every kernel in
-//! [`dhf_dsp::simd`] must return **bit-identical** results at every
-//! dispatch level the host can run — scalar, SSE2, AVX2, NEON — for any
-//! input values and any length, including every tail residue
-//! `len % 4 ∈ {0, 1, 2, 3}` (the widest lane is four `f64`s, so the
-//! residue decides how much remainder handling runs).
+//! [`dhf_dsp::simd`] with an AVX2 arm must return **bit-identical**
+//! results forced-scalar and at the native level, for any input values
+//! and any length, including every tail residue `len % 4 ∈ {0, 1, 2, 3}`
+//! (the widest lane is four `f64`s, so the residue decides how much
+//! remainder handling runs). The elementwise kernels always run the
+//! scalar reference, so they have nothing to compare.
 //!
 //! This is the contract that lets runtime dispatch (and the
 //! `DHF_FORCE_SCALAR` escape hatch) change *which instructions execute*
@@ -13,33 +14,35 @@
 use dhf_dsp::simd::{self, Level};
 use dhf_dsp::Complex;
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// The dispatch override is process-global, so tests that pin it must not
+/// The dispatch pin is process-global, so tests that flip it must not
 /// interleave (results would still agree — that is the very invariant —
 /// but each test's claimed level coverage would not be trustworthy).
 static DISPATCH: Mutex<()> = Mutex::new(());
 
-/// Levels this host can actually run: an override above the detected
-/// capability is clamped, so requesting each level and reading back the
-/// active one enumerates exactly the runnable set.
-fn available_levels() -> Vec<Level> {
-    let mut out = Vec::new();
-    for l in [Level::Scalar, Level::Sse2, Level::Avx2, Level::Neon] {
-        simd::set_dispatch_override(Some(l));
-        if simd::active_level() == l {
-            out.push(l);
-        }
-    }
-    simd::set_dispatch_override(None);
-    out
+/// Holds the dispatch lock and restores auto dispatch on drop, even if an
+/// assertion unwinds mid-test.
+struct Pinned {
+    _guard: MutexGuard<'static, ()>,
 }
 
-/// Restores auto dispatch even if an assertion unwinds mid-test.
-struct AutoDispatch;
-impl Drop for AutoDispatch {
+impl Pinned {
+    fn lock() -> Pinned {
+        Pinned { _guard: DISPATCH.lock().unwrap_or_else(|e| e.into_inner()) }
+    }
+
+    /// Pins forced-scalar (`true`) or auto dispatch (`false`) and returns
+    /// the level kernels will now run.
+    fn set(&self, forced: bool) -> Level {
+        simd::force_scalar(forced);
+        simd::active_level()
+    }
+}
+
+impl Drop for Pinned {
     fn drop(&mut self) {
-        simd::set_dispatch_override(None);
+        simd::force_scalar(false);
     }
 }
 
@@ -82,70 +85,27 @@ fn cbits(a: &[Complex]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Elementwise and reduction kernels over real planes. The length is
-    /// built as `4·q + r` with the residue drawn uniformly, so every
-    /// tail shape is exercised by construction.
+    /// Reduction kernels over real planes. The length is built as
+    /// `4·q + r` with the residue drawn uniformly, so every tail shape is
+    /// exercised by construction.
     #[test]
     fn plane_kernels_are_bit_identical_across_levels(
         q in 0usize..24,
         r in 0usize..4,
         seed in 1u64..u64::MAX,
-        scale in -1e6f64..1e6,
     ) {
         let n = 4 * q + r;
         let a = values(seed, n);
         let b = values(seed.rotate_left(17) ^ 0xabcd, n);
-        let acc0 = values(seed.rotate_left(39) ^ 0x1234, n);
 
-        let _guard = DISPATCH.lock().unwrap();
-        let _auto = AutoDispatch;
+        let pin = Pinned::lock();
         // Scalar reference results, computed once through the public
         // reference module (the semantic source of truth).
-        let mut want_mul = vec![0.0; n];
-        simd::scalar::mul_into(&mut want_mul, &a, &b);
-        let mut want_mul_add = acc0.clone();
-        simd::scalar::mul_add_in_place(&mut want_mul_add, &a, &b);
-        let mut want_add = acc0.clone();
-        simd::scalar::add_in_place(&mut want_add, &a);
-        let mut want_sub = acc0.clone();
-        simd::scalar::sub_in_place(&mut want_sub, &a);
-        let mut want_scale = acc0.clone();
-        simd::scalar::scale_in_place(&mut want_scale, scale);
-        let mut want_mag = vec![0.0; n];
-        simd::scalar::magnitude_into(&mut want_mag, &a, &b);
         let want_sum = simd::scalar::sum_sq(&a);
         let want_sum2 = simd::scalar::sum_sq2(&a, &b);
 
-        for level in available_levels() {
-            simd::set_dispatch_override(Some(level));
-            let mut out = vec![0.0; n];
-            simd::mul_into(&mut out, &a, &b);
-            prop_assert_eq!(bits(&out), bits(&want_mul), "mul_into at {} (n {})", level, n);
-
-            let mut buf = a.clone();
-            simd::mul_in_place(&mut buf, &b);
-            prop_assert_eq!(bits(&buf), bits(&want_mul), "mul_in_place at {}", level);
-
-            let mut buf = acc0.clone();
-            simd::mul_add_in_place(&mut buf, &a, &b);
-            prop_assert_eq!(bits(&buf), bits(&want_mul_add), "mul_add at {}", level);
-
-            let mut buf = acc0.clone();
-            simd::add_in_place(&mut buf, &a);
-            prop_assert_eq!(bits(&buf), bits(&want_add), "add at {}", level);
-
-            let mut buf = acc0.clone();
-            simd::sub_in_place(&mut buf, &a);
-            prop_assert_eq!(bits(&buf), bits(&want_sub), "sub at {}", level);
-
-            let mut buf = acc0.clone();
-            simd::scale_in_place(&mut buf, scale);
-            prop_assert_eq!(bits(&buf), bits(&want_scale), "scale at {}", level);
-
-            let mut out = vec![0.0; n];
-            simd::magnitude_into(&mut out, &a, &b);
-            prop_assert_eq!(bits(&out), bits(&want_mag), "magnitude at {}", level);
-
+        for forced in [true, false] {
+            let level = pin.set(forced);
             prop_assert_eq!(
                 simd::sum_sq(&a).to_bits(), want_sum.to_bits(),
                 "sum_sq at {} (n {})", level, n
@@ -182,8 +142,7 @@ proptest! {
             .map(|k| Complex::cis(-std::f64::consts::PI * k as f64 / m as f64))
             .collect();
 
-        let _guard = DISPATCH.lock().unwrap();
-        let _auto = AutoDispatch;
+        let pin = Pinned::lock();
         let mut want_stage = buf0.clone();
         simd::scalar::radix2_stage(&mut want_stage, &tw, half, inverse);
         let mut want_cmul = vec![Complex::ZERO; m];
@@ -193,8 +152,8 @@ proptest! {
         let mut want_aos = vec![Complex::ZERO; m + 1];
         simd::scalar::real_split_combine_aos(&z, &split_tw, &mut want_aos);
 
-        for level in available_levels() {
-            simd::set_dispatch_override(Some(level));
+        for forced in [true, false] {
+            let level = pin.set(forced);
             let mut buf = buf0.clone();
             simd::radix2_stage(&mut buf, &tw, half, inverse);
             prop_assert_eq!(
@@ -232,12 +191,11 @@ proptest! {
     ) {
         let n = 1usize << n_log;
         let signal = values(seed, n);
-        let _guard = DISPATCH.lock().unwrap();
-        let _auto = AutoDispatch;
+        let pin = Pinned::lock();
 
         let mut reference: Option<(Vec<u64>, Vec<u64>)> = None;
-        for level in available_levels() {
-            simd::set_dispatch_override(Some(level));
+        for forced in [true, false] {
+            let level = pin.set(forced);
             let spec = dhf_dsp::fft::fft_real(&signal);
             let back = dhf_dsp::fft::ifft_real(&spec, n);
             let got = (cbits(&spec), bits(&back));

@@ -23,11 +23,15 @@ fn shard_of(id: u64, shards: usize) -> usize {
 
 /// Synchronous per-push track validation shared by both push APIs: the
 /// track count must match the session and every track the packet length.
+///
+/// On success, returns the first non-positive or non-finite f0 value as
+/// `(track, offset)` within the packet; `SessionManager::enqueue`
+/// reports it at its absolute stream position, which needs the queue.
 fn validate_tracks(
     samples: usize,
     n_sources: usize,
     f0_tracks: &[&[f64]],
-) -> Result<(), ServeError> {
+) -> Result<Option<(usize, usize)>, ServeError> {
     if f0_tracks.len() != n_sources {
         return Err(ServeError::Session(StreamError::SourceCountMismatch {
             expected: n_sources,
@@ -42,16 +46,10 @@ fn validate_tracks(
             }));
         }
     }
-    Ok(())
-}
-
-/// Finds the first non-positive or non-finite f0 value, as
-/// `(track, offset)` within the packet.
-fn scan_tracks(f0_tracks: &[&[f64]]) -> Option<(usize, usize)> {
-    f0_tracks
+    Ok(f0_tracks
         .iter()
         .enumerate()
-        .find_map(|(ti, t)| t.iter().position(|&f| !f.is_finite() || f <= 0.0).map(|i| (ti, i)))
+        .find_map(|(ti, t)| dhf_core::first_invalid_f0(t).map(|i| (ti, i))))
 }
 
 struct ShardHandle {
@@ -230,13 +228,11 @@ impl SessionManager {
         if let Some(err) = shared.mailbox.lock().unwrap().error.clone() {
             return Err(ServeError::SessionFailed { session: id, error: err });
         }
-        validate_tracks(samples.len(), n_sources, f0_tracks)?;
-
         // The O(samples) work — value scanning and packet copies — runs
         // *before* the shard lock, so the critical section is a few
         // pointer moves and never serializes other clients (or the
         // worker's batch drain) behind a memcpy.
-        let bad_value = scan_tracks(f0_tracks);
+        let bad_value = validate_tracks(samples.len(), n_sources, f0_tracks)?;
         let capacity = self.cfg.queue_capacity();
         let incoming = samples.len();
         let item = if bad_value.is_none() && incoming > 0 && incoming <= capacity {
@@ -286,9 +282,7 @@ impl SessionManager {
                 lambda2: lambda2.len(),
             }));
         }
-        validate_tracks(lambda1.len(), n_sources, f0_tracks)?;
-
-        let bad_value = scan_tracks(f0_tracks);
+        let bad_value = validate_tracks(lambda1.len(), n_sources, f0_tracks)?;
         let capacity = self.cfg.queue_capacity();
         let incoming = lambda1.len();
         let item = if bad_value.is_none() && incoming > 0 && incoming <= capacity {

@@ -297,7 +297,7 @@ impl StreamingSeparator {
             }
         }
         for (ti, t) in f0_tracks.iter().enumerate() {
-            if let Some(i) = t.iter().position(|&f| !f.is_finite() || f <= 0.0) {
+            if let Some(i) = dhf_core::first_invalid_f0(t) {
                 return Err(StreamError::NonPositiveTrackValue {
                     track: ti,
                     sample: self.ingested + i,

@@ -9,11 +9,6 @@ use dhf_dsp::simd::{self, Level};
 use dhf_metrics::si_sdr_db;
 use dhf_stream::{separate_streamed, StreamingConfig};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// The dispatch override is process-global; tests pinning it must not
-/// interleave (see `dhf_dsp`'s simd_equivalence tests).
-static DISPATCH: Mutex<()> = Mutex::new(());
 
 /// Two drifting quasi-periodic sources (same family as the equivalence
 /// tests).
@@ -80,17 +75,17 @@ proptest! {
     }
 }
 
-/// Warm-started streaming is bit-identical at every SIMD dispatch level
-/// the host can run: the f32 fine-tune path inherits the kernel layer's
+/// Warm-started streaming is bit-identical forced-scalar and at the
+/// native SIMD level: the f32 fine-tune path inherits the kernel layer's
 /// bit-identity contract, so `DHF_FORCE_SCALAR=1` CI runs reproduce
 /// native results exactly.
 #[test]
 fn warm_streaming_is_bit_identical_across_dispatch_levels() {
-    let _guard = DISPATCH.lock().unwrap();
+    /// Restores auto dispatch even if an assertion unwinds mid-test.
     struct AutoDispatch;
     impl Drop for AutoDispatch {
         fn drop(&mut self) {
-            simd::set_dispatch_override(None);
+            simd::force_scalar(false);
         }
     }
     let _auto = AutoDispatch;
@@ -102,11 +97,9 @@ fn warm_streaming_is_bit_identical_across_dispatch_levels() {
     let cfg = warm_cfg(3000, 400);
 
     let mut reference: Option<(Level, Vec<Vec<u64>>)> = None;
-    for level in [Level::Scalar, Level::Sse2, Level::Avx2, Level::Neon] {
-        simd::set_dispatch_override(Some(level));
-        if simd::active_level() != level {
-            continue; // host cannot run this level
-        }
+    for forced in [true, false] {
+        simd::force_scalar(forced);
+        let level = simd::active_level();
         let (out, _) = separate_streamed(&mix, fs, &tracks1, &cfg).unwrap();
         let out_bits = bits(&out);
         match &reference {
@@ -117,7 +110,6 @@ fn warm_streaming_is_bit_identical_across_dispatch_levels() {
             ),
         }
     }
-    assert!(reference.is_some(), "at least the scalar level must run");
 }
 
 /// Warm-vs-cold quality regression: resuming the previous chunk's
