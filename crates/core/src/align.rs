@@ -52,10 +52,15 @@ impl PatternAligner {
     ///
     /// # Errors
     ///
-    /// Returns [`DhfError::NonPositiveFrequency`] if the track contains a
+    /// Returns [`DhfError::InvalidSampleRate`] if `fs` or `fs_prime` is
+    /// non-finite or not strictly positive,
+    /// [`DhfError::NonPositiveFrequency`] if the track contains a
     /// non-positive or non-finite value, and [`DhfError::MissingTracks`]
     /// if it is empty.
     pub fn new(f0_track: &[f64], fs: f64, fs_prime: f64) -> Result<Self, DhfError> {
+        if !(fs.is_finite() && fs > 0.0 && fs_prime.is_finite() && fs_prime > 0.0) {
+            return Err(DhfError::InvalidSampleRate { fs, fs_prime });
+        }
         if f0_track.is_empty() {
             return Err(DhfError::MissingTracks);
         }
@@ -281,6 +286,35 @@ mod tests {
                 "{bad} accepted"
             );
         }
+    }
+
+    #[test]
+    fn constructor_validates_sample_rates() {
+        let track = [1.0; 100];
+        for bad in [0.0, -100.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    PatternAligner::new(&track, bad, 16.0),
+                    Err(DhfError::InvalidSampleRate { .. })
+                ),
+                "fs = {bad} accepted"
+            );
+            assert!(
+                matches!(
+                    PatternAligner::new(&track, 100.0, bad),
+                    Err(DhfError::InvalidSampleRate { .. })
+                ),
+                "fs_prime = {bad} accepted"
+            );
+        }
+        // The full pipeline surfaces the typed error instead of
+        // overflowing an allocation on a zero rate.
+        let cfg = crate::DhfConfig::fast().with_harmonic_interp();
+        let tracks = vec![vec![1.2; 3000], vec![2.3; 3000]];
+        assert!(matches!(
+            crate::separate(&[0.0; 3000], 0.0, &tracks, &cfg),
+            Err(DhfError::InvalidSampleRate { .. })
+        ));
     }
 
     #[test]

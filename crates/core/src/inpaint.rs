@@ -35,10 +35,6 @@ pub struct InpaintConfig {
     /// Network hyper-parameters; the pipeline overrides the time dilation
     /// per round (paper §4.2 picks 13 or 15 by masking situation).
     pub net: NetConfig,
-    /// Keep the original magnitude at visible cells (in-paint only the
-    /// concealed ones). Matches the paper's wording; turning it off uses
-    /// the network output everywhere (stronger denoising).
-    pub keep_visible: bool,
     /// Seed for the network init and noise code.
     pub seed: u64,
     /// Warm-start budget. `Some` lets callers that keep a [`WarmSlot`]
@@ -55,15 +51,8 @@ impl Default for InpaintConfig {
             iterations: FitParams::FULL.iterations,
             lr: FitParams::FULL.lr,
             net: NetConfig::default(),
-            keep_visible: true,
             seed: 0x0D1F,
-            // Opt-in via the environment so CI can run the whole tier-1
-            // suite on the warm path without per-test plumbing.
-            warm: if std::env::var("DHF_WARM_START").as_deref() == Ok("1") {
-                Some(WarmFitParams::default())
-            } else {
-                None
-            },
+            warm: None,
         }
     }
 }
@@ -274,14 +263,14 @@ fn repad(setup: &mut FitSetup, bins: usize, new_padded: usize) {
     setup.padded = new_padded;
 }
 
-/// Denormalizes the fitted image and overlays visible cells per
-/// `keep_visible`.
+/// Keeps the original magnitude at visible cells and fills the concealed
+/// ones from the denormalized fitted image (the paper in-paints only the
+/// hidden cells).
 fn overlay_output(
     magnitude: &[f64],
     bins: usize,
     frames: usize,
     mask_visible: &[f32],
-    cfg: &InpaintConfig,
     peak: f64,
     img: &Tensor,
 ) -> Vec<f64> {
@@ -290,7 +279,7 @@ fn overlay_output(
     for b in 0..bins {
         for m in 0..frames {
             let visible = mask_visible[b * frames + m] > 0.5;
-            out[b * frames + m] = if cfg.keep_visible && visible {
+            out[b * frames + m] = if visible {
                 magnitude[b * frames + m]
             } else {
                 img.data()[b * padded + m] as f64 * peak
@@ -316,7 +305,7 @@ fn deep_prior(
     let mut net = DeepPriorNet::new(&setup.net_cfg, bins, setup.padded, &mut rng)?;
     let report = net.fit(&setup.target, &setup.mask, cfg.iterations, cfg.lr);
     let out =
-        overlay_output(magnitude, bins, frames, mask_visible, cfg, setup.peak, &net.output_image());
+        overlay_output(magnitude, bins, frames, mask_visible, setup.peak, &net.output_image());
     Ok(InpaintOutcome { magnitude: out, report: Some(report) })
 }
 
@@ -427,7 +416,6 @@ pub fn inpaint_magnitude_warm(
                 bins,
                 frames,
                 mask_visible,
-                cfg,
                 setup.peak,
                 &net.output_image(),
             );
@@ -470,7 +458,6 @@ mod tests {
                 conv: ConvKind::Harmonic { harmonics: 3, kt: 3, anchor: 1, dil_t: 2 },
                 ..NetConfig::default()
             },
-            keep_visible: true,
             seed: 7,
             warm: None,
         }

@@ -61,8 +61,7 @@ pub use align::{PatternAligner, UnwarpedSignal};
 pub use inpaint::{InpaintConfig, InpaintMethod, WarmEvent, WarmSlot};
 pub use mask::HarmonicMask;
 pub use pipeline::{
-    separate, validate_tracks, DhfConfig, RoundContext, RoundReport, SeparationOrder,
-    SeparationResult,
+    separate, validate_tracks, DhfConfig, RoundContext, RoundReport, SeparationResult,
 };
 
 /// Index of the first value in an f0 track that is not a usable
@@ -109,6 +108,14 @@ pub enum DhfError {
         /// Sample index of the first offending value.
         sample: usize,
     },
+    /// A sampling rate (`fs` of the input, or the unwarped `fs_prime`)
+    /// is non-finite or not strictly positive.
+    InvalidSampleRate {
+        /// Original sampling rate (Hz).
+        fs: f64,
+        /// Unwarped sampling rate (samples per target cycle).
+        fs_prime: f64,
+    },
     /// Underlying DSP failure.
     Dsp(String),
     /// Underlying network-construction failure.
@@ -135,6 +142,10 @@ impl std::fmt::Display for DhfError {
                      tracks must be strictly positive"
                 )
             }
+            DhfError::InvalidSampleRate { fs, fs_prime } => write!(
+                f,
+                "sampling rates must be finite and strictly positive: fs = {fs}, fs_prime = {fs_prime}"
+            ),
             DhfError::Dsp(msg) => write!(f, "dsp failure: {msg}"),
             DhfError::Net(msg) => write!(f, "network failure: {msg}"),
         }

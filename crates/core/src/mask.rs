@@ -21,13 +21,29 @@ pub struct HarmonicMask {
 
 impl HarmonicMask {
     /// An empty mask (zero bins and frames) — the placeholder a reusable
-    /// round context starts from; the first
-    /// [`HarmonicMask::rebuild_significant`] overwrites shape and data.
+    /// round context starts from; the first [`HarmonicMask::rebuild`]
+    /// overwrites shape and data.
     pub fn empty() -> Self {
         HarmonicMask { bins: 0, frames: 0, visible: Vec::new() }
     }
 
-    /// Builds the mask for one separation round.
+    /// Builds a mask that conceals every listed interferer harmonic
+    /// unconditionally (see [`HarmonicMask::rebuild`] for the arguments).
+    pub fn build(
+        cfg: &StftConfig,
+        frames: usize,
+        interferer_ratios: &[Vec<f64>],
+        harmonics: usize,
+        bandwidth_hz: f64,
+    ) -> Self {
+        let mut mask = HarmonicMask::empty();
+        mask.rebuild(cfg, frames, interferer_ratios, harmonics, bandwidth_hz, None);
+        mask
+    }
+
+    /// Rebuilds the mask for one separation round in place, reusing its
+    /// buffer — the per-round entry point of the pipeline's reusable round
+    /// context.
     ///
     /// * `cfg` — the unwarped-space STFT layout (1 unwarped Hz = target
     ///   fundamental).
@@ -37,52 +53,12 @@ impl HarmonicMask {
     ///   (`frames` values per source).
     /// * `harmonics` — how many multiples of each interferer to conceal.
     /// * `bandwidth_hz` — half-width of the concealed band in unwarped Hz.
-    pub fn build(
-        cfg: &StftConfig,
-        frames: usize,
-        interferer_ratios: &[Vec<f64>],
-        harmonics: usize,
-        bandwidth_hz: f64,
-    ) -> Self {
-        Self::build_significant(cfg, frames, interferer_ratios, harmonics, bandwidth_hz, None, 0.0)
-    }
-
-    /// Like [`HarmonicMask::build`], but conceals only the *significant*
-    /// harmonics of each interferer (the paper's wording): a harmonic's
-    /// band is masked only if the mean magnitude along its predicted
-    /// ridge exceeds `factor ×` the image median. Pass the bin-major
-    /// magnitude image of the round's spectrogram.
-    ///
-    /// Blindly masking negligible high harmonics would hide target cells
-    /// for no benefit — exactly what hurts when a weak target shares the
-    /// spectrum with a low-fundamental interferer whose comb is dense.
-    pub fn build_significant(
-        cfg: &StftConfig,
-        frames: usize,
-        interferer_ratios: &[Vec<f64>],
-        harmonics: usize,
-        bandwidth_hz: f64,
-        magnitude: Option<&[f64]>,
-        factor: f64,
-    ) -> Self {
-        let mut mask = HarmonicMask::empty();
-        mask.rebuild_significant(
-            cfg,
-            frames,
-            interferer_ratios,
-            harmonics,
-            bandwidth_hz,
-            magnitude,
-            factor,
-        );
-        mask
-    }
-
-    /// In-place variant of [`HarmonicMask::build_significant`]: overwrites
-    /// this mask's shape and visibility, reusing its buffer — the per-round
-    /// entry point of the pipeline's reusable round context.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rebuild_significant(
+    /// * `magnitude` — the round's bin-major magnitude image. When given,
+    ///   a harmonic is left visible if its ridge carries no energy: no
+    ///   frame puts the ridge at or below Nyquist, or the magnitude along
+    ///   it sums to zero. Hiding such a band would cost target cells for
+    ///   no benefit. `None` conceals every harmonic.
+    pub fn rebuild(
         &mut self,
         cfg: &StftConfig,
         frames: usize,
@@ -90,19 +66,8 @@ impl HarmonicMask {
         harmonics: usize,
         bandwidth_hz: f64,
         magnitude: Option<&[f64]>,
-        factor: f64,
     ) {
         let bins = cfg.bins();
-        let median_mag = magnitude.map(|mag| {
-            let mut v = mag.to_vec();
-            let mid = v.len() / 2;
-            // Median by selection: same element the full sort would put at
-            // the midpoint, in O(n).
-            v.select_nth_unstable_by(mid, |a, b| {
-                a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            v[mid]
-        });
         self.bins = bins;
         self.frames = frames;
         self.visible.clear();
@@ -110,23 +75,15 @@ impl HarmonicMask {
         let visible = &mut self.visible;
         for ratios in interferer_ratios {
             for k in 1..=harmonics {
-                // Significance test along the whole ridge of harmonic k.
-                if let (Some(mag), Some(median)) = (magnitude, median_mag) {
-                    let mut sum = 0.0f64;
-                    let mut count = 0usize;
+                if let Some(mag) = magnitude {
+                    let mut ridge_energy = 0.0f64;
                     for (m, &ratio) in ratios.iter().take(frames).enumerate() {
-                        if ratio <= 0.0 {
-                            continue;
-                        }
                         let centre = k as f64 * ratio;
-                        if centre > cfg.fs() / 2.0 {
-                            continue;
+                        if ratio > 0.0 && centre <= cfg.fs() / 2.0 {
+                            ridge_energy += mag[cfg.frequency_to_bin(centre) * frames + m];
                         }
-                        let b = cfg.frequency_to_bin(centre);
-                        sum += mag[b * frames + m];
-                        count += 1;
                     }
-                    if count == 0 || sum / count as f64 <= factor * median {
+                    if ridge_energy <= 0.0 {
                         continue;
                     }
                 }
@@ -305,74 +262,43 @@ mod tests {
         assert_eq!(gain[0], 0.0);
     }
 
-    /// Magnitude image with a bright ridge along the bin of ratio 1.5
-    /// (bin 12) and a faint background, for significance-threshold tests.
-    fn ridge_magnitude(cfg: &StftConfig, frames: usize) -> Vec<f64> {
+    #[test]
+    fn energetic_ridges_are_concealed_and_empty_ones_skipped() {
+        let cfg = cfg();
+        let frames = 6;
         let bins = cfg.bins();
+        // Bright ridge along ratio 1.5 (bin 12) and its 2nd harmonic
+        // (bin 24) over a faint background.
+        let ratios = vec![vec![1.5; frames]];
         let mut mag = vec![0.01f64; bins * frames];
         for m in 0..frames {
             mag[12 * frames + m] = 1.0;
         }
-        mag
-    }
+        let mut mask = HarmonicMask::empty();
+        mask.rebuild(&cfg, frames, &ratios, 3, 0.15, Some(&mag));
+        // Every harmonic with energy along its ridge is concealed exactly
+        // as the unconditional build conceals it.
+        assert_eq!(mask, HarmonicMask::build(&cfg, frames, &ratios, 3, 0.15));
+        assert!(mask.hidden_fraction() > 0.0);
 
-    #[test]
-    fn zero_threshold_conceals_unconditionally() {
-        let cfg = cfg();
-        let frames = 6;
-        let ratios = vec![vec![1.5; frames]];
-        let mag = ridge_magnitude(&cfg, frames);
-        let thresholded =
-            HarmonicMask::build_significant(&cfg, frames, &ratios, 3, 0.15, Some(&mag), 0.0);
-        let unconditional = HarmonicMask::build(&cfg, frames, &ratios, 3, 0.15);
-        // Factor 0 means every harmonic with any energy along its ridge is
-        // concealed — identical to the unconditional builder.
-        assert_eq!(thresholded, unconditional);
-        assert!(thresholded.hidden_fraction() > 0.0);
-    }
+        // A ridge whose magnitude sums to zero stays visible, while the
+        // unconditional build still hides it.
+        let dark = vec![0.0f64; bins * frames];
+        mask.rebuild(&cfg, frames, &ratios, 3, 0.15, Some(&dark));
+        assert_eq!(mask.hidden_fraction(), 0.0);
+        assert!(!HarmonicMask::build(&cfg, frames, &ratios, 3, 0.15).is_visible(12, 0));
 
-    #[test]
-    fn huge_threshold_hides_nothing() {
-        let cfg = cfg();
-        let frames = 6;
-        let ratios = vec![vec![1.5; frames]];
-        let mag = ridge_magnitude(&cfg, frames);
-        let mask =
-            HarmonicMask::build_significant(&cfg, frames, &ratios, 3, 0.15, Some(&mag), 1e12);
-        assert_eq!(mask.hidden_fraction(), 0.0, "no ridge can clear an absurd threshold");
-    }
-
-    #[test]
-    fn hidden_fraction_is_monotone_non_increasing_in_threshold() {
-        let cfg = cfg();
-        let frames = 8;
-        // Two interferers with harmonics of very different ridge strengths
-        // so successive thresholds peel them off one by one.
-        let ratios = vec![vec![1.5; frames], vec![2.3; frames]];
-        let bins = cfg.bins();
-        let mut mag = vec![0.01f64; bins * frames];
+        // Only the zero-energy harmonic is skipped: with the 1st harmonic
+        // dark and the 2nd lit, bin 12 stays visible and bin 24 is hidden.
+        let mut second_only = vec![0.0f64; bins * frames];
         for m in 0..frames {
-            mag[12 * frames + m] = 1.0; // 1.5 ridge: strong
-            mag[24 * frames + m] = 0.2; // 1.5 2nd harmonic: medium
-            mag[18 * frames + m] = 0.05; // 2.3 ridge: weak
+            second_only[24 * frames + m] = 0.5;
         }
-        let mut prev = f64::MAX;
-        for factor in [0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 1e6] {
-            let mask =
-                HarmonicMask::build_significant(&cfg, frames, &ratios, 2, 0.15, Some(&mag), factor);
-            let hf = mask.hidden_fraction();
-            assert!(
-                hf <= prev,
-                "hidden fraction must not grow with the threshold: {hf} after {prev} at {factor}"
-            );
-            prev = hf;
+        mask.rebuild(&cfg, frames, &ratios, 2, 0.05, Some(&second_only));
+        for m in 0..frames {
+            assert!(mask.is_visible(12, m), "zero-energy 1st harmonic is skipped");
+            assert!(!mask.is_visible(24, m), "energetic 2nd harmonic is concealed");
         }
-        // The sweep actually exercises the monotone path: the extremes
-        // differ.
-        let all = HarmonicMask::build_significant(&cfg, frames, &ratios, 2, 0.15, Some(&mag), 0.0);
-        let none = HarmonicMask::build_significant(&cfg, frames, &ratios, 2, 0.15, Some(&mag), 1e6);
-        assert!(all.hidden_fraction() > none.hidden_fraction());
-        assert_eq!(none.hidden_fraction(), 0.0);
     }
 
     #[test]

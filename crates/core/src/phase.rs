@@ -14,24 +14,16 @@ use dhf_dsp::Complex;
 /// Phase image (bin-major `bins × frames`) with concealed cells
 /// re-interpolated from the visible ones, every bin handled independently
 /// (but conceptually concurrently, as the paper notes).
+///
+/// # Panics
+///
+/// Panics if the mask's shape disagrees with `spec`'s.
 pub fn interpolate_masked_phase(spec: &Spectrogram, mask: &HarmonicMask) -> Vec<f64> {
-    let mut out = Vec::new();
-    interpolate_masked_phase_into(spec, mask, &mut out);
-    out
-}
-
-/// Like [`interpolate_masked_phase`], writing the bin-major phase image
-/// into `out` (cleared first). The round context calls this every round
-/// with reused buffers; per-bin phases are gathered from the workspace's
-/// SoA planes and each row's visibility is a borrowed mask slice, so the
-/// only transient state is one frame-length scratch row.
-pub fn interpolate_masked_phase_into(spec: &Spectrogram, mask: &HarmonicMask, out: &mut Vec<f64>) {
     let bins = spec.bins();
     let frames = spec.frames();
     assert_eq!(mask.bins(), bins, "mask/spectrogram bins mismatch");
     assert_eq!(mask.frames(), frames, "mask/spectrogram frames mismatch");
-    out.clear();
-    out.resize(bins * frames, 0.0);
+    let mut out = vec![0.0f64; bins * frames];
     let mut row_phase = vec![0.0f64; frames];
     let mut fixed = Vec::with_capacity(frames);
     for b in 0..bins {
@@ -41,19 +33,19 @@ pub fn interpolate_masked_phase_into(spec: &Spectrogram, mask: &HarmonicMask, ou
         interpolate_cyclic_into(&row_phase, mask.row_visibility(b), &mut fixed);
         out[b * frames..(b + 1) * frames].copy_from_slice(&fixed);
     }
+    out
 }
 
 /// Rebuilds *only the concealed cells* of `spec` from an in-painted
 /// magnitude image, interpolating their phases in place.
 ///
-/// This fuses [`interpolate_masked_phase_into`] with the subsequent
-/// magnitude/phase reconstruction for the common case where the in-paint
-/// step kept every visible cell's magnitude (`keep_visible`, or the
-/// deterministic harmonic interpolation, which never touches them): a
-/// visible cell then has unchanged magnitude *and* phase, so re-deriving
-/// it through `atan2`/`sin_cos` would only re-round it. Fully visible bin
-/// rows are skipped outright — no `atan2` per cell — and within a touched
-/// row only the hidden cells are rewritten.
+/// This fuses [`interpolate_masked_phase`] with the subsequent
+/// magnitude/phase reconstruction. Both in-painters keep every visible
+/// cell's magnitude, so a visible cell has unchanged magnitude *and*
+/// phase, and re-deriving it through `atan2`/`sin_cos` would only
+/// re-round it. Fully visible bin rows are skipped outright — no `atan2`
+/// per cell — and within a touched row only the hidden cells are
+/// rewritten.
 ///
 /// # Panics
 ///

@@ -3,23 +3,11 @@
 use crate::align::{PatternAligner, UnwarpedSignal};
 use crate::inpaint::{inpaint_magnitude_warm, InpaintConfig, InpaintMethod, WarmEvent, WarmSlot};
 use crate::mask::{target_comb_gain, HarmonicMask};
-use crate::phase::{interpolate_masked_phase_into, reconstruct_hidden_cells};
+use crate::phase::reconstruct_hidden_cells;
 use crate::DhfError;
 use dhf_dsp::stft::{Spectrogram, StftConfig, StftEngine};
 use dhf_dsp::Complex;
 use dhf_nn::{ConvKind, NetConfig, TrainReport, WeightState};
-
-/// Order in which sources are peeled off the mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeparationOrder {
-    /// Strongest first, judged by the mixed signal's spectral energy in
-    /// each source's fundamental band (the paper separates the dominant
-    /// maternal signal before the weak fetal one).
-    #[default]
-    EnergyDescending,
-    /// Exactly the order the tracks were supplied in.
-    AsGiven,
-}
 
 /// Configuration of the full DHF pipeline.
 ///
@@ -39,19 +27,12 @@ pub struct DhfConfig {
     pub mask_harmonics: usize,
     /// Half-width of each concealed band (unwarped Hz).
     pub mask_bandwidth_hz: f64,
-    /// Significance threshold for concealing an interferer harmonic: its
-    /// ridge's mean magnitude must exceed this factor times the
-    /// spectrogram median (0 conceals unconditionally). Matches the
-    /// paper's "all *significant* harmonics of non-targeting sources".
-    pub mask_significance: f64,
     /// In-painting settings.
     pub inpaint: InpaintConfig,
-    /// Restrict the output spectrogram to the target's harmonic comb
-    /// before resynthesis (documented design choice; see DESIGN.md).
-    pub comb_output: bool,
-    /// Number of target harmonics kept by the comb (additionally capped
-    /// so the comb never reaches beyond [`DhfConfig::max_source_hz`] in
-    /// original-space frequency).
+    /// Number of target harmonics kept by the output comb, which restricts
+    /// each full-window round's spectrogram to the target's harmonic rows
+    /// before resynthesis (additionally capped so the comb never reaches
+    /// beyond [`DhfConfig::max_source_hz`] in original-space frequency).
     pub comb_harmonics: usize,
     /// Half-width of each comb tooth (unwarped Hz) at the configured
     /// window; rounds that shrink the window widen the tooth
@@ -61,8 +42,6 @@ pub struct DhfConfig {
     /// Highest original-space frequency any source is expected to occupy
     /// (the paper band-limits everything to 12 Hz, §4.2).
     pub max_source_hz: f64,
-    /// Peeling order.
-    pub order: SeparationOrder,
     /// Time dilation used when the hidden fraction is small.
     pub dilation_low: usize,
     /// Time dilation used when the hidden fraction is large (longer
@@ -80,16 +59,10 @@ impl Default for DhfConfig {
             hop: 32,
             mask_harmonics: 5,
             mask_bandwidth_hz: 0.16,
-            // Unconditional masking by default: the significance test is
-            // kept as an ablation knob (it trades weak-source coverage
-            // against target visibility and did not pay off on Table 1).
-            mask_significance: 0.0,
             inpaint: InpaintConfig::default(),
-            comb_output: true,
             comb_harmonics: 7,
             comb_bandwidth_hz: 0.22,
             max_source_hz: 12.0,
-            order: SeparationOrder::EnergyDescending,
             dilation_low: 13,
             dilation_high: 15,
             dilation_switch: 0.35,
@@ -170,28 +143,17 @@ pub struct SeparationResult {
 /// Validates the f0 tracks for a `mixed` signal: at least one track, every
 /// track as long as the signal, every value strictly positive and finite.
 ///
-/// Called up front by [`separate`] (and the streaming engine) so that bad
-/// tracks fail fast with a precise location instead of surfacing from deep
-/// inside a later round, after earlier rounds have already spent their
-/// deep-prior training budget.
-pub fn validate_tracks(mixed_len: usize, f0_tracks: &[Vec<f64>]) -> Result<(), DhfError> {
+/// Called up front by [`separate`] (and the streaming engine, whose chunks
+/// hold borrowed windows of longer tracks) so that bad tracks fail fast
+/// with a precise location instead of surfacing from deep inside a later
+/// round, after earlier rounds have already spent their deep-prior
+/// training budget.
+pub fn validate_tracks<T: AsRef<[f64]>>(mixed_len: usize, f0_tracks: &[T]) -> Result<(), DhfError> {
     if f0_tracks.is_empty() {
         return Err(DhfError::MissingTracks);
     }
     for (ti, t) in f0_tracks.iter().enumerate() {
-        validate_one_track(mixed_len, ti, t)?;
-    }
-    Ok(())
-}
-
-/// Slice-based variant of [`validate_tracks`], used by callers that hold
-/// borrowed windows of longer tracks (the streaming engine's chunks).
-pub fn validate_track_refs(mixed_len: usize, f0_tracks: &[&[f64]]) -> Result<(), DhfError> {
-    if f0_tracks.is_empty() {
-        return Err(DhfError::MissingTracks);
-    }
-    for (ti, t) in f0_tracks.iter().enumerate() {
-        validate_one_track(mixed_len, ti, t)?;
+        validate_one_track(mixed_len, ti, t.as_ref())?;
     }
     Ok(())
 }
@@ -229,7 +191,7 @@ pub fn separate(
 
 /// Reusable machinery for DHF rounds: owns the [`StftEngine`] (cached FFT
 /// plans, window and frame scratch), the SoA [`Spectrogram`] workspace,
-/// and every spectrogram-sized work buffer (magnitude/phase images, mask,
+/// and every spectrogram-sized work buffer (magnitude image, mask,
 /// loss mask) so that running many rounds — the offline multi-round loop,
 /// or one round per chunk in the streaming engine — re-allocates nothing
 /// on the hot path. Serving workers keep one context per session, so the
@@ -244,8 +206,6 @@ pub struct RoundContext {
     spec: Spectrogram,
     /// Reused bin-major magnitude image.
     magnitude: Vec<f64>,
-    /// Reused bin-major phase image.
-    phase: Vec<f64>,
     /// Reused harmonic mask (rebuilt in place each round).
     mask: HarmonicMask,
     /// Reused bin-major `f32` visibility image for the in-painting loss.
@@ -290,7 +250,6 @@ impl RoundContext {
             engine: StftEngine::new(),
             spec: Spectrogram::workspace(),
             magnitude: Vec::new(),
-            phase: Vec::new(),
             mask: HarmonicMask::empty(),
             mask_f32: Vec::new(),
             ratios: Vec::new(),
@@ -413,7 +372,7 @@ impl RoundContext {
     ) -> Result<SeparationResult, DhfError> {
         {
             let _span = dhf_obs::span(dhf_obs::Stage::TrackValidate);
-            validate_track_refs(mixed.len(), f0_tracks)?;
+            validate_tracks(mixed.len(), f0_tracks)?;
         }
 
         let order = self.peel_order(mixed, fs, f0_tracks);
@@ -441,32 +400,29 @@ impl RoundContext {
         Ok(SeparationResult { sources, rounds })
     }
 
-    /// Decides the peeling order, scoring band energies through the
-    /// context's reused half-spectrum scratch (the transforms themselves
-    /// go to the shared thread-local planner — see
-    /// [`RoundContext::band_energy`]).
+    /// Decides the peeling order: strongest first, judged by the mixed
+    /// signal's spectral energy in each source's fundamental band (the
+    /// paper separates the dominant maternal signal before the weak fetal
+    /// one). Band energies are scored through the context's reused
+    /// half-spectrum scratch (the transforms themselves go to the shared
+    /// thread-local planner — see [`RoundContext::band_energy`]).
     fn peel_order(&mut self, mixed: &[f64], fs: f64, f0_tracks: &[&[f64]]) -> Vec<usize> {
-        let n = f0_tracks.len();
-        match self.cfg.order {
-            SeparationOrder::AsGiven => (0..n).collect(),
-            SeparationOrder::EnergyDescending => {
-                // One full-signal spectrum serves every track's score: the
-                // transform does not depend on the band, only the scoring
-                // range does, so hoisting it replaces `n` identical
-                // (expensive, Bluestein-sized) real FFTs with one.
-                dhf_dsp::fft::with_thread_planner(|p| p.rfft_into(mixed, &mut self.band_half));
-                let mut scored: Vec<(f64, usize)> = (0..n)
-                    .map(|i| {
-                        let t = f0_tracks[i];
-                        let (lo, hi) =
-                            t.iter().fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
-                        (self.band_energy(mixed.len(), fs, (lo - 0.1).max(0.01), hi + 0.1), i)
-                    })
-                    .collect();
-                scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-                scored.into_iter().map(|(_, i)| i).collect()
-            }
-        }
+        // One full-signal spectrum serves every track's score: the
+        // transform does not depend on the band, only the scoring range
+        // does, so hoisting it replaces `n` identical (expensive,
+        // Bluestein-sized) real FFTs with one.
+        dhf_dsp::fft::with_thread_planner(|p| p.rfft_into(mixed, &mut self.band_half));
+        let mut scored: Vec<(f64, usize)> = f0_tracks
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let (lo, hi) =
+                    t.iter().fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
+                (self.band_energy(mixed.len(), fs, (lo - 0.1).max(0.01), hi + 0.1), i)
+            })
+            .collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        scored.into_iter().map(|(_, i)| i).collect()
     }
 
     /// Spectral energy inside `[lo, hi]` Hz of the half spectrum cached in
@@ -532,7 +488,7 @@ impl RoundContext {
         let frames = self.spec.frames();
 
         // Mask build: interferer ridge ratios, magnitude extraction, and
-        // the significance mask rebuild, timed as one stage.
+        // the mask rebuild, timed as one stage.
         let mask_span = dhf_obs::span(dhf_obs::Stage::MaskBuild);
 
         // Interferer ridges: frequency ratios at each frame centre. Inner
@@ -558,19 +514,17 @@ impl RoundContext {
 
         // Interferer ridges wander further (in unwarped Hz) within the
         // longer original-time windows of shrunk rounds, so the concealed
-        // band widens proportionally. Only *significant* interferer
-        // harmonics are concealed (paper §3.3), judged against the
-        // spectrogram median.
+        // band widens proportionally. Harmonics with no energy along
+        // their ridge are left visible (see [`HarmonicMask::rebuild`]).
         let mask_bw = cfg.mask_bandwidth_hz * (cfg.window as f64 / window as f64);
         self.spec.magnitude_into(&mut self.magnitude);
-        self.mask.rebuild_significant(
+        self.mask.rebuild(
             &stft_cfg,
             frames,
             &self.ratios,
             cfg.mask_harmonics,
             mask_bw,
             Some(&self.magnitude),
-            cfg.mask_significance,
         );
         let hidden_fraction = self.mask.hidden_fraction();
         drop(mask_span);
@@ -617,27 +571,20 @@ impl RoundContext {
         }
 
         // Cyclic phase interpolation across the concealed cells (§3.4),
-        // then rebuild the workspace planes in place. When the in-paint
-        // kept every visible cell's magnitude (harmonic interpolation, or
-        // deep prior with `keep_visible`), a visible cell is entirely
-        // unchanged, so only the concealed cells need phases interpolated
-        // and coefficients rebuilt; otherwise rebuild the full image.
+        // rebuilding the workspace planes in place. Both in-painters keep
+        // every visible cell's magnitude, so a visible cell is entirely
+        // unchanged: only the concealed cells need phases interpolated and
+        // coefficients rebuilt.
         let apply_span = dhf_obs::span(dhf_obs::Stage::MaskApply);
-        let visible_preserved = self.icfg.keep_visible
-            || matches!(self.icfg.method, crate::inpaint::InpaintMethod::HarmonicInterp);
-        if visible_preserved {
-            reconstruct_hidden_cells(&mut self.spec, &self.mask, &outcome.magnitude);
-        } else {
-            interpolate_masked_phase_into(&self.spec, &self.mask, &mut self.phase);
-            self.spec.set_magnitude_phase(&outcome.magnitude, &self.phase);
-        }
+        reconstruct_hidden_cells(&mut self.spec, &self.mask, &outcome.magnitude);
 
-        // Optional comb restriction: keep only the target's harmonic rows.
-        // Rounds that shrank the window target a slow dominant source
-        // whose per-period amplitude variation spreads energy *between*
-        // harmonic rows; a comb would discard those sidebands, so it only
-        // applies to full-window rounds.
-        if cfg.comb_output && window == cfg.window {
+        // Comb restriction: keep only the target's harmonic rows, so
+        // off-comb hallucinations of the prior cannot leak into the
+        // estimate. Rounds that shrank the window target a slow dominant
+        // source whose per-period amplitude variation spreads energy
+        // *between* harmonic rows; a comb would discard those sidebands,
+        // so it only applies to full-window rounds.
+        if window == cfg.window {
             // Tooth count stops at the band limit so pure-noise rows are
             // not resynthesized.
             let comb_bw = cfg.comb_bandwidth_hz;
@@ -765,9 +712,6 @@ mod tests {
         let mut ctx = RoundContext::new(&DhfConfig::fast());
         let order = ctx.peel_order(&mix, fs, &refs);
         assert_eq!(order[0], 0, "dominant source must be peeled first");
-        let mut as_given =
-            RoundContext::new(&DhfConfig { order: SeparationOrder::AsGiven, ..DhfConfig::fast() });
-        assert_eq!(as_given.peel_order(&mix, fs, &refs), vec![0, 1]);
     }
 
     #[test]

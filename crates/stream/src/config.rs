@@ -69,13 +69,8 @@ impl StreamingConfig {
     /// from the second chunk on, each source's in-painting resumes the
     /// previous chunk's trained weights with a bounded fine-tune instead of
     /// refitting from scratch (see `dhf_core::inpaint`).
-    pub fn with_warm_start(self) -> Self {
-        self.with_warm_start_params(WarmFitParams::default())
-    }
-
-    /// Enables deep-prior warm starting with an explicit fine-tune budget.
-    pub fn with_warm_start_params(mut self, warm: WarmFitParams) -> Self {
-        self.dhf.inpaint.warm = Some(warm);
+    pub fn with_warm_start(mut self) -> Self {
+        self.dhf.inpaint.warm = Some(WarmFitParams::default());
         self
     }
 

@@ -35,17 +35,15 @@ fn make_mix(fs: f64, n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<Vec<f64>>) 
     (mix, s1, s2, vec![track1, track2])
 }
 
-/// Deep-prior configuration with warm starting pinned ON (independent of
-/// the `DHF_WARM_START` environment).
+/// Deep-prior configuration with warm starting pinned ON.
 fn warm_cfg(chunk_len: usize, overlap: usize) -> StreamingConfig {
-    StreamingConfig::new(chunk_len, overlap, DhfConfig::fast()).unwrap().with_warm_start()
+    cold_cfg(chunk_len, overlap).with_warm_start()
 }
 
-/// Deep-prior configuration with warm starting pinned OFF.
+/// Deep-prior configuration with warm starting pinned OFF (the
+/// `InpaintConfig` default).
 fn cold_cfg(chunk_len: usize, overlap: usize) -> StreamingConfig {
-    let mut dhf = DhfConfig::fast();
-    dhf.inpaint.warm = None;
-    StreamingConfig::new(chunk_len, overlap, dhf).unwrap()
+    StreamingConfig::new(chunk_len, overlap, DhfConfig::fast()).unwrap()
 }
 
 fn bits(sources: &[Vec<f64>]) -> Vec<Vec<u64>> {
