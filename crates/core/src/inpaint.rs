@@ -114,35 +114,6 @@ pub enum WarmEvent {
     Bypass,
 }
 
-/// In-paints a magnitude image under a visibility mask
-/// (`mask_visible[i] == 1.0` means trusted).
-///
-/// # Errors
-///
-/// Returns [`DhfError::Net`] if the network cannot be built for the
-/// (padded) image extents.
-///
-/// # Panics
-///
-/// Panics if `magnitude.len() != bins * frames` or the mask size differs.
-pub fn inpaint_magnitude(
-    magnitude: &[f64],
-    bins: usize,
-    frames: usize,
-    mask_visible: &[f32],
-    cfg: &InpaintConfig,
-) -> Result<InpaintOutcome, DhfError> {
-    assert_eq!(magnitude.len(), bins * frames, "magnitude image size");
-    assert_eq!(mask_visible.len(), bins * frames, "mask image size");
-    match cfg.method {
-        InpaintMethod::HarmonicInterp => Ok(InpaintOutcome {
-            magnitude: harmonic_interp(magnitude, bins, frames, mask_visible),
-            report: None,
-        }),
-        InpaintMethod::DeepPrior => deep_prior(magnitude, bins, frames, mask_visible, cfg),
-    }
-}
-
 /// Deterministic per-bin linear interpolation across hidden frames.
 fn harmonic_interp(
     magnitude: &[f64],
@@ -177,7 +148,7 @@ fn harmonic_interp(
     out
 }
 
-/// Shared preparation of a deep-prior fit: peak normalization, time-axis
+/// Preparation of a deep-prior fit: peak normalization, time-axis
 /// padding to the pooling schedule, the adaptive output bias, and the
 /// padded target/mask images.
 struct FitSetup {
@@ -289,31 +260,18 @@ fn overlay_output(
     out
 }
 
-/// Deep-prior in-painting: normalize, pad the time axis to the pooling
-/// schedule, train the masked objective, denormalize and crop.
-fn deep_prior(
-    magnitude: &[f64],
-    bins: usize,
-    frames: usize,
-    mask_visible: &[f32],
-    cfg: &InpaintConfig,
-) -> Result<InpaintOutcome, DhfError> {
-    let Some(setup) = fit_setup(magnitude, bins, frames, mask_visible, cfg) else {
-        return Ok(InpaintOutcome { magnitude: magnitude.to_vec(), report: None });
-    };
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut net = DeepPriorNet::new(&setup.net_cfg, bins, setup.padded, &mut rng)?;
-    let report = net.fit(&setup.target, &setup.mask, cfg.iterations, cfg.lr);
-    let out =
-        overlay_output(magnitude, bins, frames, mask_visible, setup.peak, &net.output_image());
-    Ok(InpaintOutcome { magnitude: out, report: Some(report) })
-}
-
-/// Warm-capable variant of [`inpaint_magnitude`]: when
-/// [`InpaintConfig::warm`] is set and `slot` holds a compatible trained
-/// net (or a seeded snapshot), the fit resumes from those weights with a
-/// bounded fine-tune; otherwise it falls back to the cold path and leaves
-/// the freshly trained net resident for the next call.
+/// In-paints a magnitude image under a visibility mask
+/// (`mask_visible[i] == 1.0` means trusted).
+///
+/// The deep prior is normalized to the image peak, fit on the visible
+/// cells over a time axis padded to the pooling schedule, then
+/// denormalized and cropped; only the concealed cells take its output.
+///
+/// When [`InpaintConfig::warm`] is set and `slot` holds a compatible
+/// trained net (or a seeded snapshot), the fit resumes from those weights
+/// with a bounded fine-tune; otherwise it fits cold and leaves the freshly
+/// trained net resident for the next call. When `warm` is `None` every fit
+/// is cold, at the minimal padding, and the slot is left empty.
 ///
 /// Compatibility tolerates frame-count wobble: the fit may pad up to
 /// [`WARM_PAD_SLACK_FRAMES`] extra time frames beyond the minimum to land
@@ -321,17 +279,15 @@ fn deep_prior(
 /// lengths of a drifting stream still warm-start. A chunk that *outgrows*
 /// the resident net (or drifts past the slack) falls back to cold.
 ///
-/// The cold path taken through this entry is bit-identical to
-/// [`inpaint_magnitude`]: same seed derivation, same fit budget.
-///
 /// # Errors
 ///
-/// Same conditions as [`inpaint_magnitude`].
+/// Returns [`DhfError::Net`] if the network cannot be built for the
+/// (padded) image extents or its configuration is degenerate.
 ///
 /// # Panics
 ///
 /// Panics if `magnitude.len() != bins * frames` or the mask size differs.
-pub fn inpaint_magnitude_warm(
+pub fn inpaint_magnitude(
     magnitude: &[f64],
     bins: usize,
     frames: usize,
@@ -341,87 +297,74 @@ pub fn inpaint_magnitude_warm(
 ) -> Result<(InpaintOutcome, WarmEvent), DhfError> {
     assert_eq!(magnitude.len(), bins * frames, "magnitude image size");
     assert_eq!(mask_visible.len(), bins * frames, "mask image size");
-    match cfg.method {
-        InpaintMethod::HarmonicInterp => Ok((
-            InpaintOutcome {
-                magnitude: harmonic_interp(magnitude, bins, frames, mask_visible),
-                report: None,
-            },
-            WarmEvent::Bypass,
-        )),
-        InpaintMethod::DeepPrior => {
-            let Some(warm_params) = cfg.warm else {
-                // Warm starts disabled: keep nothing resident.
-                slot.clear();
-                return deep_prior(magnitude, bins, frames, mask_visible, cfg).map(|o| {
-                    let ev = if o.report.is_some() { WarmEvent::Cold } else { WarmEvent::Bypass };
-                    (o, ev)
-                });
-            };
-            let Some(mut setup) = fit_setup(magnitude, bins, frames, mask_visible, cfg) else {
-                return Ok((
-                    InpaintOutcome { magnitude: magnitude.to_vec(), report: None },
-                    WarmEvent::Bypass,
-                ));
-            };
-            // Pad-slack scan: prefer the extent whose architecture matches
-            // the resident net, else one matching a seeded snapshot, else
-            // keep the minimum padding (which also keeps the slot-empty
-            // cold fit bit-identical to the plain entry point).
-            let td = cfg.net.time_divisor();
-            let resident_fp = slot.net.as_ref().map(|n| n.weight_fingerprint());
-            let pending_fp = slot.pending.as_ref().map(|s| s.fingerprint());
-            let mut chosen = None;
-            let mut p = setup.padded;
-            while p <= setup.padded + WARM_PAD_SLACK_FRAMES {
-                let f = setup.net_cfg.architecture_fingerprint(bins, p);
-                if Some(f) == resident_fp {
-                    chosen = Some(p);
-                    break;
-                }
-                if chosen.is_none() && Some(f) == pending_fp {
-                    chosen = Some(p);
-                }
-                p += td;
-            }
-            if let Some(p) = chosen {
-                repad(&mut setup, bins, p);
-            }
-            let fp = setup.net_cfg.architecture_fingerprint(bins, setup.padded);
-            let resident_ok = slot.net.as_ref().is_some_and(|n| n.weight_fingerprint() == fp);
-            let mut event = WarmEvent::Warm;
-            if !resident_ok {
-                // Discontinuity (extent or dilation change) or first call:
-                // rebuild, adopting a seeded snapshot when one fits.
-                slot.net = None;
-                let mut rng = StdRng::seed_from_u64(cfg.seed);
-                let mut net = DeepPriorNet::new(&setup.net_cfg, bins, setup.padded, &mut rng)?;
-                let adopted = match slot.pending.take() {
-                    Some(state) => net.restore_weights(&state).is_ok(),
-                    None => false,
-                };
-                if !adopted {
-                    event = WarmEvent::Cold;
-                }
-                slot.net = Some(net);
-            }
-            let net = slot.net.as_mut().expect("slot holds a net here");
-            let report = if event == WarmEvent::Warm {
-                net.fit_warm(&setup.target, &setup.mask, &warm_params)
-            } else {
-                net.fit(&setup.target, &setup.mask, cfg.iterations, cfg.lr)
-            };
-            let out = overlay_output(
-                magnitude,
-                bins,
-                frames,
-                mask_visible,
-                setup.peak,
-                &net.output_image(),
-            );
-            Ok((InpaintOutcome { magnitude: out, report: Some(report) }, event))
-        }
+    if cfg.method == InpaintMethod::HarmonicInterp {
+        let magnitude = harmonic_interp(magnitude, bins, frames, mask_visible);
+        return Ok((InpaintOutcome { magnitude, report: None }, WarmEvent::Bypass));
     }
+    // Warm starts disabled: fit in a scratch slot so nothing stays resident.
+    let mut cold_only = WarmSlot::default();
+    let slot = if cfg.warm.is_some() {
+        slot
+    } else {
+        slot.clear();
+        &mut cold_only
+    };
+    let Some(mut setup) = fit_setup(magnitude, bins, frames, mask_visible, cfg) else {
+        return Ok((
+            InpaintOutcome { magnitude: magnitude.to_vec(), report: None },
+            WarmEvent::Bypass,
+        ));
+    };
+    // Pad-slack scan: prefer the extent whose architecture matches the
+    // resident net, else one matching a seeded snapshot, else keep the
+    // minimum padding (always the case for an empty slot).
+    let td = cfg.net.time_divisor();
+    let resident_fp = slot.net.as_ref().map(|n| n.weight_fingerprint());
+    let pending_fp = slot.pending.as_ref().map(|s| s.fingerprint());
+    let mut chosen = None;
+    let mut p = setup.padded;
+    while p <= setup.padded + WARM_PAD_SLACK_FRAMES {
+        let f = setup.net_cfg.architecture_fingerprint(bins, p);
+        if Some(f) == resident_fp {
+            chosen = Some(p);
+            break;
+        }
+        if chosen.is_none() && Some(f) == pending_fp {
+            chosen = Some(p);
+        }
+        p += td;
+    }
+    if let Some(p) = chosen {
+        repad(&mut setup, bins, p);
+    }
+    let fp = setup.net_cfg.architecture_fingerprint(bins, setup.padded);
+    let resident_ok = slot.net.as_ref().is_some_and(|n| n.weight_fingerprint() == fp);
+    let mut event = WarmEvent::Warm;
+    if !resident_ok {
+        // Discontinuity (extent or dilation change) or first call:
+        // rebuild, adopting a seeded snapshot when one fits.
+        slot.net = None;
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut net = DeepPriorNet::new(&setup.net_cfg, bins, setup.padded, &mut rng)?;
+        let adopted = match slot.pending.take() {
+            Some(state) => net.restore_weights(&state).is_ok(),
+            None => false,
+        };
+        if !adopted {
+            event = WarmEvent::Cold;
+        }
+        slot.net = Some(net);
+    }
+    let net = slot.net.as_mut().expect("slot holds a net here");
+    let report = match cfg.warm {
+        Some(params) if event == WarmEvent::Warm => {
+            net.fit_warm(&setup.target, &setup.mask, &params)
+        }
+        _ => net.fit(&setup.target, &setup.mask, cfg.iterations, cfg.lr),
+    };
+    let out =
+        overlay_output(magnitude, bins, frames, mask_visible, setup.peak, &net.output_image());
+    Ok((InpaintOutcome { magnitude: out, report: Some(report) }, event))
 }
 
 #[cfg(test)]
@@ -463,12 +406,24 @@ mod tests {
         }
     }
 
+    /// One in-paint from a fresh slot (warm starts need a slot that lives
+    /// across calls).
+    fn cold(
+        magnitude: &[f64],
+        bins: usize,
+        frames: usize,
+        mask_visible: &[f32],
+        cfg: &InpaintConfig,
+    ) -> Result<InpaintOutcome, DhfError> {
+        let mut slot = WarmSlot::default();
+        inpaint_magnitude(magnitude, bins, frames, mask_visible, cfg, &mut slot).map(|(o, _)| o)
+    }
+
     #[test]
     fn harmonic_interp_bridges_gap_exactly_for_constant_rows() {
         let (mag, bins, frames, mask) = ridge_case();
         let out =
-            inpaint_magnitude(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::HarmonicInterp))
-                .unwrap();
+            cold(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::HarmonicInterp)).unwrap();
         assert!(out.report.is_none());
         for m in 5..8 {
             assert!((out.magnitude[4 * frames + m] - 0.9).abs() < 1e-9);
@@ -484,8 +439,7 @@ mod tests {
             mag[2 * frames + m] = 0.7;
         }
         let out =
-            inpaint_magnitude(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::HarmonicInterp))
-                .unwrap();
+            cold(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::HarmonicInterp)).unwrap();
         for m in 0..frames {
             assert_eq!(out.magnitude[2 * frames + m], 0.0);
         }
@@ -495,7 +449,7 @@ mod tests {
     fn deep_prior_keeps_visible_cells_verbatim() {
         let (mag, bins, frames, mask) = ridge_case();
         let cfg = InpaintConfig { iterations: 10, ..tiny_cfg(InpaintMethod::DeepPrior) };
-        let out = inpaint_magnitude(&mag, bins, frames, &mask, &cfg).unwrap();
+        let out = cold(&mag, bins, frames, &mask, &cfg).unwrap();
         for b in 0..bins {
             for m in 0..frames {
                 if mask[b * frames + m] > 0.5 {
@@ -509,8 +463,7 @@ mod tests {
     #[test]
     fn deep_prior_reconstructs_hidden_ridge_above_background() {
         let (mag, bins, frames, mask) = ridge_case();
-        let out = inpaint_magnitude(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::DeepPrior))
-            .unwrap();
+        let out = cold(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::DeepPrior)).unwrap();
         for m in 5..8 {
             let ridge = out.magnitude[4 * frames + m];
             let bg = out.magnitude[10 * frames + m];
@@ -527,7 +480,7 @@ mod tests {
         let mag = vec![0.2f64; bins * frames];
         let mask = vec![1.0f32; bins * frames];
         let cfg = InpaintConfig { iterations: 3, ..tiny_cfg(InpaintMethod::DeepPrior) };
-        let out = inpaint_magnitude(&mag, bins, frames, &mask, &cfg).unwrap();
+        let out = cold(&mag, bins, frames, &mask, &cfg).unwrap();
         assert_eq!(out.magnitude.len(), bins * frames);
     }
 
@@ -535,8 +488,7 @@ mod tests {
     fn zero_image_passes_through() {
         let mag = vec![0.0f64; 32];
         let mask = vec![1.0f32; 32];
-        let out =
-            inpaint_magnitude(&mag, 4, 8, &mask, &tiny_cfg(InpaintMethod::DeepPrior)).unwrap();
+        let out = cold(&mag, 4, 8, &mask, &tiny_cfg(InpaintMethod::DeepPrior)).unwrap();
         assert_eq!(out.magnitude, mag);
     }
 
@@ -544,24 +496,27 @@ mod tests {
     fn warm_entry_cold_path_matches_plain_inpaint_bitwise() {
         let (mag, bins, frames, mask) = ridge_case();
         let cfg = InpaintConfig { iterations: 40, ..tiny_cfg(InpaintMethod::DeepPrior) };
-        let plain = inpaint_magnitude(&mag, bins, frames, &mask, &cfg).unwrap();
 
-        // Warm disabled: identical result, nothing kept resident.
+        // Warm disabled: a cold fit, nothing kept resident.
         let mut slot = WarmSlot::default();
-        let (off, ev) = inpaint_magnitude_warm(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
+        let (plain, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
         assert!(!slot.is_warm());
-        assert_eq!(off, plain);
 
         // Warm enabled but slot empty: the first fit is cold and bitwise
-        // identical to the plain path, and the net stays resident.
-        let warm_cfg = InpaintConfig { warm: Some(WarmFitParams::default()), ..cfg };
-        let mut slot = WarmSlot::default();
+        // identical to the warm-disabled one, and the net stays resident.
+        let warm_cfg = InpaintConfig { warm: Some(WarmFitParams::default()), ..cfg.clone() };
         let (first, ev) =
-            inpaint_magnitude_warm(&mag, bins, frames, &mask, &warm_cfg, &mut slot).unwrap();
+            inpaint_magnitude(&mag, bins, frames, &mask, &warm_cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
         assert!(slot.is_warm());
         assert_eq!(first, plain);
+
+        // Warm disabled again: the resident net is dropped, not resumed.
+        let (off, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
+        assert_eq!(ev, WarmEvent::Cold);
+        assert!(!slot.is_warm());
+        assert_eq!(off, plain);
     }
 
     #[test]
@@ -574,13 +529,12 @@ mod tests {
             ..tiny_cfg(InpaintMethod::DeepPrior)
         };
         let mut slot = WarmSlot::default();
-        let (_, ev) = inpaint_magnitude_warm(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
+        let (_, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
 
         // "Next chunk": slightly attenuated image, same geometry.
         let next: Vec<f64> = mag.iter().map(|&v| v * 0.97).collect();
-        let (out, ev) =
-            inpaint_magnitude_warm(&next, bins, frames, &mask, &cfg, &mut slot).unwrap();
+        let (out, ev) = inpaint_magnitude(&next, bins, frames, &mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Warm);
         let rep = out.report.unwrap();
         assert!(rep.iterations <= warm_params.max_iterations);
@@ -595,7 +549,7 @@ mod tests {
             ..tiny_cfg(InpaintMethod::DeepPrior)
         };
         let mut slot = WarmSlot::default();
-        let (_, ev) = inpaint_magnitude_warm(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
+        let (_, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
 
         // One frame fewer still pads to the same extent: the resident
@@ -603,8 +557,7 @@ mod tests {
         let near_mag = &mag[..bins * (frames - 1)];
         let near_mask: Vec<f32> = mask[..bins * (frames - 1)].to_vec();
         let (_, ev) =
-            inpaint_magnitude_warm(near_mag, bins, frames - 1, &near_mask, &cfg, &mut slot)
-                .unwrap();
+            inpaint_magnitude(near_mag, bins, frames - 1, &near_mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Warm);
 
         // Shrinking past a padding boundary stays warm too: the pad-slack
@@ -613,8 +566,7 @@ mod tests {
         let short_mag = &mag[..bins * (frames - 4)];
         let short_mask: Vec<f32> = mask[..bins * (frames - 4)].to_vec();
         let (_, ev) =
-            inpaint_magnitude_warm(short_mag, bins, frames - 4, &short_mask, &cfg, &mut slot)
-                .unwrap();
+            inpaint_magnitude(short_mag, bins, frames - 4, &short_mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Warm);
 
         // A chunk that outgrows the resident net cannot fit it → cold.
@@ -622,8 +574,7 @@ mod tests {
         let long_mag = vec![0.2f64; bins * long_frames];
         let long_mask = vec![1.0f32; bins * long_frames];
         let (_, ev) =
-            inpaint_magnitude_warm(&long_mag, bins, long_frames, &long_mask, &cfg, &mut slot)
-                .unwrap();
+            inpaint_magnitude(&long_mag, bins, long_frames, &long_mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
     }
 
@@ -636,7 +587,7 @@ mod tests {
             ..tiny_cfg(InpaintMethod::DeepPrior)
         };
         let mut donor = WarmSlot::default();
-        let (_, ev) = inpaint_magnitude_warm(&mag, bins, frames, &mask, &cfg, &mut donor).unwrap();
+        let (_, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut donor).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
         let state = donor.capture().unwrap();
 
@@ -644,7 +595,7 @@ mod tests {
         // serving runtime's cross-session hand-off.
         let mut fresh = WarmSlot::default();
         fresh.seed(state);
-        let (_, ev) = inpaint_magnitude_warm(&mag, bins, frames, &mask, &cfg, &mut fresh).unwrap();
+        let (_, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut fresh).unwrap();
         assert_eq!(ev, WarmEvent::Warm);
 
         // A slightly shorter chunk re-pads onto the snapshot's extent and
@@ -654,8 +605,7 @@ mod tests {
         let short_mag = &mag[..bins * (frames - 4)];
         let short_mask: Vec<f32> = mask[..bins * (frames - 4)].to_vec();
         let (_, ev) =
-            inpaint_magnitude_warm(short_mag, bins, frames - 4, &short_mask, &cfg, &mut near)
-                .unwrap();
+            inpaint_magnitude(short_mag, bins, frames - 4, &short_mask, &cfg, &mut near).unwrap();
         assert_eq!(ev, WarmEvent::Warm);
 
         // …but a chunk the snapshot's net cannot hold is discarded and
@@ -666,8 +616,7 @@ mod tests {
         let long_mag = vec![0.2f64; bins * long_frames];
         let long_mask = vec![1.0f32; bins * long_frames];
         let (_, ev) =
-            inpaint_magnitude_warm(&long_mag, bins, long_frames, &long_mask, &cfg, &mut wrong)
-                .unwrap();
+            inpaint_magnitude(&long_mag, bins, long_frames, &long_mask, &cfg, &mut wrong).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
     }
 }

@@ -1,7 +1,7 @@
 //! The multi-round DHF separation pipeline (paper Fig. 1).
 
 use crate::align::{PatternAligner, UnwarpedSignal};
-use crate::inpaint::{inpaint_magnitude_warm, InpaintConfig, InpaintMethod, WarmEvent, WarmSlot};
+use crate::inpaint::{inpaint_magnitude, InpaintConfig, InpaintMethod, WarmEvent, WarmSlot};
 use crate::mask::{target_comb_gain, HarmonicMask};
 use crate::phase::reconstruct_hidden_cells;
 use crate::DhfError;
@@ -555,7 +555,7 @@ impl RoundContext {
             self.warm_slots.push(WarmSlot::default());
         }
         let fit_span = dhf_obs::span(dhf_obs::Stage::NnFit);
-        let (outcome, warm_event) = inpaint_magnitude_warm(
+        let (outcome, warm_event) = inpaint_magnitude(
             &self.magnitude,
             bins,
             frames,
@@ -743,6 +743,14 @@ mod tests {
             separate(&[0.0; 100], 100.0, &short_tracks, &cfg),
             Err(DhfError::InputTooShort { .. })
         ));
+    }
+
+    #[test]
+    fn malformed_kernel_geometry_is_a_typed_error() {
+        let (mix, _, _, tracks) = make_mix(100.0, 3000);
+        let mut cfg = DhfConfig::fast();
+        cfg.inpaint.net.conv = ConvKind::Harmonic { harmonics: 3, kt: 2, anchor: 1, dil_t: 1 };
+        assert!(matches!(separate(&mix, 100.0, &tracks, &cfg), Err(DhfError::Net(_))));
     }
 
     #[test]

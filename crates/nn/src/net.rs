@@ -1,7 +1,7 @@
 //! The deep-prior network: a light U-Net fit to a single masked
 //! spectrogram (paper §3.2–3.3).
 
-use crate::blocks::{conv_block, project_out};
+use crate::blocks::{conv_block, project_out, ConvKind};
 use crate::config::{NetConfig, WarmFitParams};
 use crate::NnError;
 use dhf_tensor::{init, optim::Adam, Graph, Scalar, Tensor, VarId};
@@ -156,6 +156,25 @@ impl<S: Scalar> DeepPriorNet<S> {
         if cfg.base_channels == 0 || cfg.in_channels == 0 {
             return Err(NnError::BadConfig("channel counts must be positive"));
         }
+        // The kernel builders assert these; reject them here as typed errors.
+        match cfg.conv {
+            ConvKind::Standard { kf, kt, .. } if kf % 2 == 0 || kt % 2 == 0 => {
+                return Err(NnError::BadConfig("kernel extents must be odd"));
+            }
+            ConvKind::Harmonic { kt, .. } if kt % 2 == 0 => {
+                return Err(NnError::BadConfig("kernel extents must be odd"));
+            }
+            ConvKind::Harmonic { harmonics: 0, .. } => {
+                return Err(NnError::BadConfig("harmonic count must be positive"));
+            }
+            ConvKind::Harmonic { anchor: 0, .. } => {
+                return Err(NnError::BadConfig("harmonic anchor must be positive"));
+            }
+            _ => {}
+        }
+        if cfg.freq_pool == Some(0) {
+            return Err(NnError::BadConfig("frequency pooling factor must be positive"));
+        }
         let td = cfg.time_divisor();
         if frames % td != 0 || frames == 0 {
             return Err(NnError::BadExtent { axis: "time", extent: frames, divisor: td });
@@ -237,7 +256,8 @@ impl<S: Scalar> DeepPriorNet<S> {
     /// with Adam for `iterations` steps.
     ///
     /// The loss only sees visible cells, so hidden cells are *in-painted*
-    /// by the network's structural bias.
+    /// by the network's structural bias. This is the training loop of
+    /// [`DeepPriorNet::fit_warm`] without its plateau stop.
     ///
     /// # Panics
     ///
@@ -249,21 +269,13 @@ impl<S: Scalar> DeepPriorNet<S> {
         iterations: usize,
         lr: f32,
     ) -> TrainReport {
-        assert_eq!(target.shape(), &[1, self.bins, self.frames], "target shape");
-        assert_eq!(mask.shape(), &[1, self.bins, self.frames], "mask shape");
-        self.graph.set_value(self.target, target.clone());
-        self.graph.set_value(self.mask, mask.clone());
-        let mut adam: Adam<S> = Adam::new(lr);
-        self.graph.forward();
-        let initial_loss = self.graph.value(self.loss).data()[0].to_f32();
-        for _ in 0..iterations {
-            self.graph.forward();
-            self.graph.backward(self.loss);
-            adam.step(&mut self.graph);
-        }
-        self.graph.forward();
-        let final_loss = self.graph.value(self.loss).data()[0].to_f32();
-        TrainReport { initial_loss, final_loss, iterations }
+        let no_stop = WarmFitParams {
+            max_iterations: iterations,
+            lr,
+            patience: usize::MAX,
+            min_rel_improvement: 0.0,
+        };
+        self.train(target, mask, &no_stop)
     }
 
     /// Fine-tunes the *current* weights toward a new target: at most
@@ -275,12 +287,25 @@ impl<S: Scalar> DeepPriorNet<S> {
     /// previous chunk's converged prior is resumed on the next chunk's
     /// spectrogram. Optimizer moments are intentionally fresh per call
     /// (stale moments from a different target mislead more than they
-    /// help).
+    /// help). The net keeps the weights of its last step.
     ///
     /// # Panics
     ///
     /// Panics if `target`/`mask` are not `[1, bins, frames]`.
     pub fn fit_warm(
+        &mut self,
+        target: &Tensor<S>,
+        mask: &Tensor<S>,
+        params: &WarmFitParams,
+    ) -> TrainReport {
+        self.train(target, mask, params)
+    }
+
+    /// The one Adam loop behind [`DeepPriorNet::fit`] and
+    /// [`DeepPriorNet::fit_warm`]. Each step evaluates the loss once: the
+    /// forward pass after an update yields both the loss the plateau rule
+    /// reads and the activations the next backward pass needs.
+    fn train(
         &mut self,
         target: &Tensor<S>,
         mask: &Tensor<S>,
@@ -292,15 +317,14 @@ impl<S: Scalar> DeepPriorNet<S> {
         self.graph.set_value(self.mask, mask.clone());
         let mut adam: Adam<S> = Adam::new(params.lr);
         self.graph.forward();
-        let initial_loss = self.graph.value(self.loss).data()[0].to_f32();
+        let initial_loss = self.loss_value();
+        let mut loss = initial_loss;
         let mut best = f32::INFINITY;
         let mut stale = 0usize;
         let mut steps = 0usize;
-        for _ in 0..params.max_iterations {
-            self.graph.forward();
-            let now = self.graph.value(self.loss).data()[0].to_f32();
-            if now < best * (1.0 - params.min_rel_improvement) {
-                best = now;
+        while steps < params.max_iterations {
+            if loss < best * (1.0 - params.min_rel_improvement) {
+                best = loss;
                 stale = 0;
             } else {
                 stale += 1;
@@ -310,11 +334,11 @@ impl<S: Scalar> DeepPriorNet<S> {
             }
             self.graph.backward(self.loss);
             adam.step(&mut self.graph);
+            self.graph.forward();
+            loss = self.loss_value();
             steps += 1;
         }
-        self.graph.forward();
-        let final_loss = self.graph.value(self.loss).data()[0].to_f32();
-        TrainReport { initial_loss, final_loss, iterations: steps }
+        TrainReport { initial_loss, final_loss: loss, iterations: steps }
     }
 
     /// Snapshots the trainable parameters and the noise code `z`.
@@ -373,7 +397,6 @@ impl<S: Scalar> DeepPriorNet<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::ConvKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -402,6 +425,66 @@ mod tests {
             Err(NnError::BadExtent { axis: "freq", .. })
         ));
         assert!(DeepPriorNet::<f32>::new(&cfg, 16, 16, &mut rng).is_ok());
+    }
+
+    #[test]
+    fn constructor_rejects_malformed_kernel_geometry() {
+        let bad = [
+            ConvKind::Harmonic { harmonics: 3, kt: 2, anchor: 1, dil_t: 1 },
+            ConvKind::Harmonic { harmonics: 0, kt: 3, anchor: 1, dil_t: 1 },
+            ConvKind::Harmonic { harmonics: 3, kt: 3, anchor: 0, dil_t: 1 },
+            ConvKind::Standard { kf: 4, kt: 3, dil_f: 1, dil_t: 1 },
+            ConvKind::Standard { kf: 3, kt: 0, dil_f: 1, dil_t: 1 },
+        ];
+        for conv in bad {
+            let cfg = NetConfig { conv, ..tiny_cfg() };
+            let mut rng = StdRng::seed_from_u64(0);
+            assert!(
+                matches!(
+                    DeepPriorNet::<f32>::new(&cfg, 16, 8, &mut rng),
+                    Err(NnError::BadConfig(_))
+                ),
+                "{conv:?} must be rejected"
+            );
+        }
+        let cfg = NetConfig { freq_pool: Some(0), ..tiny_cfg() };
+        let mut rng = StdRng::seed_from_u64(0);
+        assert!(matches!(
+            DeepPriorNet::<f32>::new(&cfg, 16, 8, &mut rng),
+            Err(NnError::BadConfig(_))
+        ));
+    }
+
+    #[test]
+    fn fit_is_fit_warm_without_the_plateau_stop() {
+        let mut t = Tensor::filled(&[1, 16, 8], 0.05);
+        for fr in 0..8 {
+            t.data_mut()[3 * 8 + fr] = 0.9;
+        }
+        let mut mask = Tensor::filled(&[1, 16, 8], 1.0);
+        for b in 0..16 {
+            mask.data_mut()[b * 8 + 5] = 0.0;
+        }
+        let (iterations, lr) = (40, 0.02);
+        let no_stop = WarmFitParams {
+            max_iterations: iterations,
+            lr,
+            patience: usize::MAX,
+            min_rel_improvement: 0.0,
+        };
+        let mut a: DeepPriorNet =
+            DeepPriorNet::new(&tiny_cfg(), 16, 8, &mut StdRng::seed_from_u64(10)).unwrap();
+        let mut b: DeepPriorNet =
+            DeepPriorNet::new(&tiny_cfg(), 16, 8, &mut StdRng::seed_from_u64(10)).unwrap();
+        let ra = a.fit(&t, &mask, iterations, lr);
+        let rb = b.fit_warm(&t, &mask, &no_stop);
+        assert_eq!(ra, rb);
+        assert_eq!(ra.iterations, iterations);
+        let bits = |n: &DeepPriorNet| -> Vec<u32> {
+            n.output_image().data().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(ra.final_loss, a.loss_value());
     }
 
     #[test]

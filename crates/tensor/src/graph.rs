@@ -26,34 +26,20 @@ impl VarId {
     }
 }
 
-/// Operator attached to a graph node.
-///
-/// Exposed for introspection (e.g. graph dumps in tests); construct nodes
-/// through the [`Graph`] builder methods, not by hand. Scalar attributes
-/// (scale factors, slopes, epsilons) are stored as `f32` and converted to
-/// the graph's working precision at evaluation time — exact for both
-/// precisions since every `f32` widens losslessly.
+/// Operator attached to a graph node, built through the [`Graph`] builder
+/// methods. Scalar attributes (slopes, epsilons) are stored as `f32` and
+/// converted to the graph's working precision at evaluation time — exact
+/// for both precisions since every `f32` widens losslessly.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
-pub enum Op {
+enum Op {
     /// External value: network input or trainable parameter.
     Leaf,
-    /// Elementwise sum.
-    Add(VarId, VarId),
-    /// Elementwise difference.
-    Sub(VarId, VarId),
-    /// Elementwise (Hadamard) product.
-    Mul(VarId, VarId),
-    /// Multiplication by a compile-time scalar.
-    Scale(VarId, f32),
     /// Per-channel bias addition over a `[C,F,T]` image.
     AddBias(VarId, VarId),
     /// Leaky rectified linear unit with the given negative slope.
     LeakyRelu(VarId, f32),
     /// Logistic sigmoid.
     Sigmoid(VarId),
-    /// Hyperbolic tangent.
-    Tanh(VarId),
     /// Same-padded 2-D convolution `(input, weight)` with per-axis dilation.
     Conv2d {
         /// Input image `[C,F,T]`.
@@ -205,11 +191,6 @@ impl<S: Scalar> Graph<S> {
         &mut node.value
     }
 
-    /// The operator of a node.
-    pub fn op(&self, id: VarId) -> &Op {
-        &self.nodes[id.0].op
-    }
-
     fn push_leaf(&mut self, value: Tensor<S>, trainable: bool) -> VarId {
         let grad = Tensor::zeros(value.shape());
         self.nodes.push(Node {
@@ -253,45 +234,6 @@ impl<S: Scalar> Graph<S> {
 
     // ----- builder methods ------------------------------------------------
 
-    /// Elementwise `a + b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        self.assert_same_shape(a, b, "add");
-        let shape = self.shape_of(a).to_vec();
-        self.push_op(Op::Add(a, b), shape)
-    }
-
-    /// Elementwise `a - b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        self.assert_same_shape(a, b, "sub");
-        let shape = self.shape_of(a).to_vec();
-        self.push_op(Op::Sub(a, b), shape)
-    }
-
-    /// Elementwise `a ⊙ b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
-        self.assert_same_shape(a, b, "mul");
-        let shape = self.shape_of(a).to_vec();
-        self.push_op(Op::Mul(a, b), shape)
-    }
-
-    /// `a · s` for a fixed scalar `s`.
-    pub fn scale(&mut self, a: VarId, s: f32) -> VarId {
-        let shape = self.shape_of(a).to_vec();
-        self.push_op(Op::Scale(a, s), shape)
-    }
-
     /// Adds per-channel bias `b` (`[C]`) to image `x` (`[C,F,T]`).
     ///
     /// # Panics
@@ -318,12 +260,6 @@ impl<S: Scalar> Graph<S> {
     pub fn sigmoid(&mut self, x: VarId) -> VarId {
         let shape = self.shape_of(x).to_vec();
         self.push_op(Op::Sigmoid(x), shape)
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, x: VarId) -> VarId {
-        let shape = self.shape_of(x).to_vec();
-        self.push_op(Op::Tanh(x), shape)
     }
 
     /// Same-padded 2-D convolution with dilation `(dil_f, dil_t)`.
@@ -490,36 +426,6 @@ impl<S: Scalar> Graph<S> {
         };
         match node.op {
             Op::Leaf => {}
-            Op::Add(a, b) => {
-                let (va, vb) = (v(a), v(b));
-                for (o, (&x, &y)) in
-                    node.value.data_mut().iter_mut().zip(va.data().iter().zip(vb.data()))
-                {
-                    *o = x + y;
-                }
-            }
-            Op::Sub(a, b) => {
-                let (va, vb) = (v(a), v(b));
-                for (o, (&x, &y)) in
-                    node.value.data_mut().iter_mut().zip(va.data().iter().zip(vb.data()))
-                {
-                    *o = x - y;
-                }
-            }
-            Op::Mul(a, b) => {
-                let (va, vb) = (v(a), v(b));
-                for (o, (&x, &y)) in
-                    node.value.data_mut().iter_mut().zip(va.data().iter().zip(vb.data()))
-                {
-                    *o = x * y;
-                }
-            }
-            Op::Scale(a, s) => {
-                let s = S::from_f32(s);
-                for (o, &x) in node.value.data_mut().iter_mut().zip(v(a).data()) {
-                    *o = x * s;
-                }
-            }
             Op::AddBias(x, b) => {
                 let (vx, vb) = (v(x), v(b));
                 let (c, f, t) = (vx.shape()[0], vx.shape()[1], vx.shape()[2]);
@@ -540,11 +446,6 @@ impl<S: Scalar> Graph<S> {
             Op::Sigmoid(a) => {
                 for (o, &x) in node.value.data_mut().iter_mut().zip(v(a).data()) {
                     *o = S::ONE / (S::ONE + (-x).exp());
-                }
-            }
-            Op::Tanh(a) => {
-                for (o, &x) in node.value.data_mut().iter_mut().zip(v(a).data()) {
-                    *o = x.tanh();
                 }
             }
             Op::Conv2d { x, w, dil_f, dil_t } => {
@@ -631,63 +532,6 @@ impl<S: Scalar> Graph<S> {
 
         match node.op {
             Op::Leaf => {}
-            Op::Add(a, b) => {
-                acc!(a, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                    for (gi, &u) in g.data_mut().iter_mut().zip(go.data()) {
-                        *gi += u;
-                    }
-                });
-                acc!(b, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                    for (gi, &u) in g.data_mut().iter_mut().zip(go.data()) {
-                        *gi += u;
-                    }
-                });
-            }
-            Op::Sub(a, b) => {
-                acc!(a, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                    for (gi, &u) in g.data_mut().iter_mut().zip(go.data()) {
-                        *gi += u;
-                    }
-                });
-                acc!(b, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                    for (gi, &u) in g.data_mut().iter_mut().zip(go.data()) {
-                        *gi -= u;
-                    }
-                });
-            }
-            Op::Mul(a, b) => {
-                if a == b {
-                    let two = S::from_f32(2.0);
-                    acc!(a, |v: &Tensor<S>, g: &mut Tensor<S>| {
-                        for ((gi, &u), &x) in g.data_mut().iter_mut().zip(go.data()).zip(v.data()) {
-                            *gi += two * u * x;
-                        }
-                    });
-                } else {
-                    let vb = before[b.0].value.clone();
-                    acc!(a, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                        for ((gi, &u), &y) in g.data_mut().iter_mut().zip(go.data()).zip(vb.data())
-                        {
-                            *gi += u * y;
-                        }
-                    });
-                    let va = before[a.0].value.clone();
-                    acc!(b, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                        for ((gi, &u), &x) in g.data_mut().iter_mut().zip(go.data()).zip(va.data())
-                        {
-                            *gi += u * x;
-                        }
-                    });
-                }
-            }
-            Op::Scale(a, s) => {
-                let s = S::from_f32(s);
-                acc!(a, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                    for (gi, &u) in g.data_mut().iter_mut().zip(go.data()) {
-                        *gi += u * s;
-                    }
-                });
-            }
             Op::AddBias(x, b) => {
                 let (c, rest_len) = {
                     let s = node.value.shape();
@@ -721,14 +565,6 @@ impl<S: Scalar> Graph<S> {
                 acc!(a, |_v: &Tensor<S>, g: &mut Tensor<S>| {
                     for ((gi, &u), &yo) in g.data_mut().iter_mut().zip(go.data()).zip(y.data()) {
                         *gi += u * yo * (S::ONE - yo);
-                    }
-                });
-            }
-            Op::Tanh(a) => {
-                let y = &node.value;
-                acc!(a, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                    for ((gi, &u), &yo) in g.data_mut().iter_mut().zip(go.data()).zip(y.data()) {
-                        *gi += u * (S::ONE - yo * yo);
                     }
                 });
             }
@@ -923,19 +759,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn elementwise_values() {
-        let mut g: Graph = Graph::new();
-        let a = g.input(Tensor::from_vec(&[3], vec![1.0, -2.0, 3.0]));
-        let b = g.input(Tensor::from_vec(&[3], vec![4.0, 5.0, -6.0]));
-        let s = g.add(a, b);
-        let d = g.sub(a, b);
-        let m = g.mul(a, b);
-        let sc = g.scale(a, 2.0);
-        assert_eq!(g.value(s).data(), &[5.0, 3.0, -3.0]);
-        assert_eq!(g.value(d).data(), &[-3.0, -7.0, 9.0]);
-        assert_eq!(g.value(m).data(), &[4.0, -10.0, -18.0]);
-        assert_eq!(g.value(sc).data(), &[2.0, -4.0, 6.0]);
+    /// Masked MSE of `y` against a fixed random target over every element:
+    /// a non-linear scalar loss whose gradient reaches every input. (A sum,
+    /// or `mean(y²)`, would hand instance norm's input near-zero
+    /// gradients: normalization fixes each channel's mean and variance.)
+    fn mse_to_random_target(g: &mut Graph, y: VarId, seed: u64) -> VarId {
+        let shape = g.value(y).shape().to_vec();
+        let target = rand_leaf(g, &shape, seed, false);
+        let all = g.input(Tensor::filled(&shape, 1.0));
+        g.mse_masked(y, target, all)
     }
 
     #[test]
@@ -944,40 +776,17 @@ mod tests {
         let x = g.input(Tensor::from_vec(&[2], vec![1.0, -1.0]));
         let r = g.leaky_relu(x, 0.1);
         let s = g.sigmoid(x);
-        let t = g.tanh(x);
         assert_eq!(g.value(r).data(), &[1.0, -0.1]);
         assert!((g.value(s).data()[0] - 0.7310586).abs() < 1e-5);
-        assert!((g.value(t).data()[1] + 0.7615942).abs() < 1e-5);
+        assert!((g.value(s).data()[1] - 0.26894143).abs() < 1e-5);
     }
 
     #[test]
-    fn gradcheck_elementwise_chain() {
-        let mut g: Graph = Graph::new();
-        let a = rand_leaf(&mut g, &[2, 3, 4], 1, true);
-        let b = rand_leaf(&mut g, &[2, 3, 4], 2, false);
-        let m = g.mul(a, b);
-        let s = g.add(m, a);
-        let r = g.leaky_relu(s, 0.2);
-        let loss = g.sum(r);
-        gradcheck(&mut g, loss, a, 0.05);
-    }
-
-    #[test]
-    fn gradcheck_mul_self() {
-        let mut g: Graph = Graph::new();
-        let a = rand_leaf(&mut g, &[5], 3, true);
-        let sq = g.mul(a, a);
-        let loss = g.sum(sq);
-        gradcheck(&mut g, loss, a, 0.05);
-    }
-
-    #[test]
-    fn gradcheck_sigmoid_tanh() {
+    fn gradcheck_sigmoid() {
         let mut g: Graph = Graph::new();
         let a = rand_leaf(&mut g, &[6], 4, true);
         let s = g.sigmoid(a);
-        let t = g.tanh(s);
-        let loss = g.sum(t);
+        let loss = g.sum(s);
         gradcheck(&mut g, loss, a, 0.05);
     }
 
@@ -1033,8 +842,7 @@ mod tests {
         let a = rand_leaf(&mut g, &[1, 3, 4], 12, true);
         let b = rand_leaf(&mut g, &[2, 3, 4], 13, true);
         let c = g.concat(a, b);
-        let sq = g.mul(c, c);
-        let loss = g.sum(sq);
+        let loss = mse_to_random_target(&mut g, c, 17);
         gradcheck(&mut g, loss, a, 0.05);
         gradcheck(&mut g, loss, b, 0.05);
     }
@@ -1046,8 +854,7 @@ mod tests {
         let gamma = g.param(Tensor::from_vec(&[2], vec![1.2, 0.8]));
         let beta = g.param(Tensor::from_vec(&[2], vec![0.1, -0.1]));
         let y = g.instance_norm(x, gamma, beta);
-        let sq = g.mul(y, y);
-        let loss = g.sum(sq);
+        let loss = mse_to_random_target(&mut g, y, 18);
         gradcheck(&mut g, loss, x, 0.1);
         gradcheck(&mut g, loss, gamma, 0.05);
         gradcheck(&mut g, loss, beta, 0.05);
@@ -1124,11 +931,12 @@ mod tests {
     #[test]
     fn forward_reflects_new_leaf_values() {
         let mut g: Graph = Graph::new();
-        let a = g.input(Tensor::scalar(1.0));
-        let b = g.input(Tensor::scalar(2.0));
-        let s = g.add(a, b);
+        let a = g.input(Tensor::filled(&[1, 1, 1], 1.0));
+        let b = g.input(Tensor::filled(&[1, 1, 1], 2.0));
+        let c = g.concat(a, b);
+        let s = g.sum(c);
         assert_eq!(g.value(s).data()[0], 3.0);
-        g.set_value(a, Tensor::scalar(10.0));
+        g.set_value(a, Tensor::filled(&[1, 1, 1], 10.0));
         g.forward();
         assert_eq!(g.value(s).data()[0], 12.0);
     }

@@ -17,13 +17,15 @@
 //! * [`Graph`] — a define-once/run-many autograd arena: insertion order is
 //!   execution order, [`Graph::forward`] re-evaluates the whole graph (new
 //!   leaf values included), [`Graph::backward`] fills gradients.
-//! * Operators: elementwise arithmetic, activations, zero-padded 2-D
-//!   convolution with independent frequency/time dilation, **harmonic
-//!   convolution** with configurable anchor, time-only average pooling,
-//!   frequency max-pooling (for the Zhang-baseline ablation), nearest
-//!   upsampling, channel concatenation, instance normalization, and a
-//!   masked mean-squared-error loss.
-//! * [`optim`] — Adam and SGD over the graph's trainable leaves.
+//! * Operators: **harmonic convolution** with configurable anchor,
+//!   zero-padded 2-D convolution with independent frequency/time dilation
+//!   (the 1×1 output projection and the conventional-convolution
+//!   ablation), per-channel bias, leaky-ReLU and sigmoid activations,
+//!   time-only average pooling, nearest upsampling, channel concatenation,
+//!   instance normalization, and a masked mean-squared-error loss. The
+//!   Zhang-baseline ablation adds frequency max-pooling and frequency
+//!   upsampling; a plain sum seeds gradients for kernel timing and checks.
+//! * [`optim`] — Adam over the graph's trainable leaves.
 //!
 //! # Example: fit a tiny network to a constant image
 //!
@@ -59,33 +61,6 @@ pub mod init;
 pub mod ops;
 pub mod optim;
 
-pub use graph::{Graph, Op, VarId};
+pub use graph::{Graph, VarId};
 pub use scalar::Scalar;
 pub use tensor::Tensor;
-
-/// Errors produced when constructing or combining tensors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TensorError {
-    /// Operand shapes are incompatible for the requested operation.
-    ShapeMismatch {
-        /// Shape of the left/first operand.
-        left: Vec<usize>,
-        /// Shape of the right/second operand.
-        right: Vec<usize>,
-    },
-    /// A parameter was outside its valid domain.
-    InvalidParameter(&'static str),
-}
-
-impl std::fmt::Display for TensorError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TensorError::ShapeMismatch { left, right } => {
-                write!(f, "shape mismatch: {left:?} vs {right:?}")
-            }
-            TensorError::InvalidParameter(name) => write!(f, "invalid parameter `{name}`"),
-        }
-    }
-}
-
-impl std::error::Error for TensorError {}

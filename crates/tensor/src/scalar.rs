@@ -63,10 +63,6 @@ pub trait Scalar:
     fn sqrt(self) -> Self;
     /// Natural exponential.
     fn exp(self) -> Self;
-    /// Natural logarithm.
-    fn ln(self) -> Self;
-    /// Hyperbolic tangent.
-    fn tanh(self) -> Self;
     /// Absolute value.
     fn abs(self) -> Self;
     /// Integer power.
@@ -110,14 +106,6 @@ macro_rules! impl_scalar {
             #[inline]
             fn exp(self) -> Self {
                 self.exp()
-            }
-            #[inline]
-            fn ln(self) -> Self {
-                self.ln()
-            }
-            #[inline]
-            fn tanh(self) -> Self {
-                self.tanh()
             }
             #[inline]
             fn abs(self) -> Self {

@@ -111,22 +111,6 @@ impl<S: Scalar> Tensor<S> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<S> {
-        self.data
-    }
-
-    /// Reinterprets the buffer under a new shape with equal element count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape(mut self, shape: &[usize]) -> Self {
-        assert_eq!(self.numel(), shape.iter().product::<usize>(), "reshape element count mismatch");
-        self.shape = shape.to_vec();
-        self
-    }
-
     /// Flat index of `[c, h, w]` in a rank-3 tensor.
     ///
     /// # Panics
@@ -181,20 +165,6 @@ impl<S: Scalar> Tensor<S> {
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = S::ZERO);
     }
-
-    /// Ensures this tensor has `shape`, reallocating only when needed, and
-    /// zero-fills it.
-    pub fn reset_to(&mut self, shape: &[usize]) {
-        let n: usize = shape.iter().product();
-        if self.data.len() != n {
-            self.data = vec![S::ZERO; n];
-        } else {
-            self.fill_zero();
-        }
-        if self.shape != shape {
-            self.shape = shape.to_vec();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -223,13 +193,6 @@ mod tests {
         assert_eq!(t.at3(0, 1, 2), 5.0);
         assert_eq!(t.at3(1, 0, 0), 6.0);
         assert_eq!(t.at3(1, 1, 1), 10.0);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(&[2, 3], vec![1.0f32, 2., 3., 4., 5., 6.]).reshape(&[3, 2]);
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.data()[4], 5.0);
     }
 
     #[test]
@@ -273,16 +236,6 @@ mod tests {
         let wide: Tensor<f64> = t.cast();
         let back: Tensor<f32> = wide.cast();
         assert_eq!(t, back);
-    }
-
-    #[test]
-    fn reset_to_reuses_allocation() {
-        let mut t = Tensor::filled(&[4], 1.0f32);
-        let ptr = t.data().as_ptr();
-        t.reset_to(&[2, 2]);
-        assert_eq!(t.shape(), &[2, 2]);
-        assert_eq!(t.data(), &[0.0; 4]);
-        assert_eq!(t.data().as_ptr(), ptr);
     }
 
     #[test]
